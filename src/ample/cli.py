@@ -129,8 +129,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="conjugacy cross-check length bound (default 8, "
                         "env AMPLE_ORACLE_BOUND)")
     p.add_argument("--max-rank", type=int, default=None,
-                   help="largest allowed Whitehead scan rank (default 8, "
-                        "env AMPLE_MAX_RANK)")
+                   help="largest allowed Whitehead scan rank; clause 1 at n "
+                        "needs rank 2n (default 24, env AMPLE_MAX_RANK)")
     p.add_argument("--json", action="store_true", help="emit the JSON report")
     return parser
 
@@ -210,8 +210,7 @@ def _run_jsj(args) -> int:
 
 def _run_verify(args) -> int:
     config = Config.from_env(max_rank=args.max_rank,
-                             oracle_bound=args.oracle_bound,
-                             output="json" if args.json else "text")
+                             oracle_bound=args.oracle_bound)
     try:
         report = verify_ample(args.n, config)
     except ResourceLimitError as exc:

@@ -8,16 +8,12 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Config:
-    max_rank: int = 8        # largest Whitehead scan rank (clause 1 needs rank 2n)
+    max_rank: int = 24       # largest Whitehead scan rank (clause 1 needs rank 2n)
     oracle_bound: int = 8    # conjugacy cross-check length bound L
-    parallelism: int = 0     # 0 = auto; current implementation runs sequentially
-    output: str = "text"     # "text" | "json"
 
     def __post_init__(self):
-        if self.max_rank < 1 or self.oracle_bound < 1 or self.parallelism < 0:
-            raise ValueError("bounds must be >= 1 (parallelism >= 0)")
-        if self.output not in ("text", "json"):
-            raise ValueError(f"unknown output mode {self.output!r}")
+        if self.max_rank < 1 or self.oracle_bound < 1:
+            raise ValueError("bounds must be >= 1")
 
     @staticmethod
     def from_env(**overrides) -> "Config":

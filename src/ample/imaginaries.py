@@ -93,6 +93,12 @@ def _power_exponent(d: Word, b: Word) -> Optional[int]:
     return None
 
 
+def _check_moduli(**moduli: int) -> None:
+    for name, value in moduli.items():
+        if value < 1:
+            raise ValueError(f"modulus {name} must be >= 1, got {value}")
+
+
 def _in_cyclic_power(d: Word, b: Word, m: int) -> bool:
     """True iff d lies in the cyclic subgroup generated by b**m."""
     j = _power_exponent(d, b)
@@ -102,6 +108,7 @@ def _in_cyclic_power(d: Word, b: Word, m: int) -> bool:
 def e2_left_coset(m: int, pair1: Pair, pair2: Pair) -> bool:
     """m-left-coset relation on pairs (a, b): requires b1, b2 nontrivial
     with a common centralizer generator b, and a1^-1 a2 in <b**m>."""
+    _check_moduli(m=m)
     (a1, b1), (a2, b2) = pair1, pair2
     root = _common_root(b1, b2)
     if root is None:
@@ -111,6 +118,7 @@ def e2_left_coset(m: int, pair1: Pair, pair2: Pair) -> bool:
 
 def e3_right_coset(m: int, pair1: Pair, pair2: Pair) -> bool:
     """Mirror of the left-coset relation, with a1 a2^-1."""
+    _check_moduli(m=m)
     (a1, b1), (a2, b2) = pair1, pair2
     root = _common_root(b1, b2)
     if root is None:
@@ -131,6 +139,7 @@ def e4_double_coset(m: int, n: int, triple1: Triple, triple2: Triple) -> bool:
 
     The index m is inert: the defining condition uses only n.
     """
+    _check_moduli(m=m, n=n)
     (a1, b1, c1) = triple1
     (a2, b2, c2) = triple2
     root_a = _common_root(a1, a2)

@@ -187,7 +187,6 @@ class VerificationReport:
             "config": {
                 "max_rank": self.config.max_rank,
                 "oracle_bound": self.config.oracle_bound,
-                "parallelism": self.config.parallelism,
             },
         }
 
@@ -228,7 +227,7 @@ REPORT_SCHEMA = {
         "overall": {"enum": ["pass", "fail"]},
         "config": {
             "type": "object",
-            "required": ["max_rank", "oracle_bound", "parallelism"],
+            "required": ["max_rank", "oracle_bound"],
         },
     },
 }

@@ -4,15 +4,22 @@ free-factor recognition.
 A cut-type automorphism is given by a multiplier letter x and a letter set S
 with x in S and x^-1 not in S; it fixes x and sends any other letter y to
 (x^-1 if y^-1 in S) y (x if y in S).  Permutation-type automorphisms are
-signed permutations of the basis.  Greedy descent that applies, each round,
-the single automorphism with the greatest total length reduction reaches the
-minimal total length in the automorphism orbit; the final full scan that
-finds no reduction is the minimality certificate (peak reduction).
+signed permutations of the basis; they never change a length.
 
-Enumeration order is fixed (multiplier letter index, then subset bitmask
-ascending) so minimization traces are deterministic.  Rank-6 and rank-8
-enumerations run to ~12k and ~260k cut automorphisms; they are streamed,
-never materialized.
+``minimize`` finds the best cut without enumerating cuts.  A linear word
+w = y1..yk is read as the cyclic word w z, with z a fresh letter that every
+cut fixes; its Whitehead graph has one edge {y_i, y_(i+1)^-1} per junction,
+plus {yk, z^-1} and {z, y1^-1}.  Under the cut (S, x) the length of w
+changes by cap(S, S^c) - deg(x) in that graph (Whitehead 1936; Gersten,
+Bull. AMS 1984), so the best cut with multiplier x is a minimum cut
+separating x from {x^-1, z, z^-1}: one small unit-capacity max-flow per
+letter.  Greedy descent applies, each round, the cut with the greatest
+strict reduction, and stops when no letter has a positive gain; that is the
+peak-reduction certificate that the total is minimal in the orbit.
+
+``enumerate_whitehead_autos`` streams every cut (identities removed) and the
+signed-permutation generators in a fixed order; it is the brute-force
+reference the flow engine is tested against.
 """
 
 from __future__ import annotations
@@ -203,14 +210,98 @@ def replay(trace: MinimizationTrace) -> tuple[Word, ...]:
     return current
 
 
+def _whitehead_graph(words: Sequence[Sequence[int]], rank: int) -> list[dict[int, int]]:
+    """Edge multiplicities of the Whitehead graph of the cyclic words w z.
+
+    Letter c is vertex c + rank; z and z^-1 share the vertex ``rank`` (the
+    slot of the absent code 0), since every cut puts both on the sink side.
+    """
+    adj: list[dict[int, int]] = [{} for _ in range(2 * rank + 1)]
+
+    def join(u: int, v: int) -> None:
+        adj[u][v] = adj[u].get(v, 0) + 1
+        adj[v][u] = adj[v].get(u, 0) + 1
+
+    for codes in words:
+        if not codes:
+            continue
+        prev = rank
+        for c in codes:
+            join(prev, rank - c)
+            prev = rank + c
+        join(prev, rank)
+    return adj
+
+
+def _min_cut(adj: list[dict[int, int]], source: int,
+             sinks: tuple[int, ...]) -> tuple[int, set[int]]:
+    """Max-flow value from source to the merged sinks, and the source side
+    of the minimum cut (the vertices the final residual graph reaches)."""
+    residual = [dict(row) for row in adj]
+    flow = 0
+    while True:
+        parent = {source: source}
+        queue = [source]
+        found = None
+        for u in queue:
+            for v, cap in residual[u].items():
+                if cap and v not in parent:
+                    parent[v] = u
+                    if v in sinks:
+                        found = v
+                        break
+                    queue.append(v)
+            if found is not None:
+                break
+        if found is None:
+            return flow, set(parent)
+        path = []
+        v = found
+        while v != source:
+            u = parent[v]
+            path.append((u, v))
+            v = u
+        push = min(residual[u][v] for u, v in path)
+        for u, v in path:
+            residual[u][v] -= push
+            residual[v][u] += push
+        flow += push
+
+
+def _best_cut(words: Sequence[Sequence[int]], rank: int) -> Optional[WhiteheadAut]:
+    """The cut with the greatest strict total-length reduction, or None.
+
+    Ties go to the first multiplier in letter order (e1, E1, e2, ...); the
+    subset is the source side of that multiplier's minimum cut.
+    """
+    adj = _whitehead_graph(words, rank)
+    best_gain = 0
+    best: Optional[tuple[int, set[int]]] = None
+    for x in _letters_in_order(rank):
+        source = rank + x
+        degree = sum(adj[source].values())
+        if degree <= best_gain:
+            continue
+        flow, side = _min_cut(adj, source, (rank, rank - x))
+        if degree - flow > best_gain:
+            best_gain = degree - flow
+            best = (x, side)
+    if best is None:
+        return None
+    x, side = best
+    return WhiteheadAut(rank, "cut", multiplier=x,
+                        subset=frozenset(v - rank for v in side))
+
+
 def minimize(words: Sequence[Word], rank: int) -> MinimizationTrace:
     """Greedy descent to the minimal total length in the Aut(F_rank)-orbit.
 
-    Each round scans every Whitehead automorphism and applies the one with
-    the greatest strict length reduction (ties: first in enumeration order).
-    At the stopping point no single automorphism shortens the tuple, which
-    certifies minimality.  Descent stops early when the total reaches the
-    arithmetic floor of one letter per word.
+    Each round solves one minimum cut per multiplier letter on the Whitehead
+    graph of the tuple and applies the cut with the greatest strict length
+    reduction; on a tie, the first multiplier in letter order (e1, E1, e2,
+    ...) wins.  At the stopping point no Whitehead automorphism shortens the
+    tuple, which certifies minimality.  Descent stops early when the total
+    reaches the arithmetic floor of one letter per word.
     """
     if not words:
         raise ValueError("minimize needs a nonempty tuple of words")
@@ -222,23 +313,15 @@ def minimize(words: Sequence[Word], rank: int) -> MinimizationTrace:
     lengths = [total]
     floor = sum(1 for c in current if c)
     while total > floor:
-        best_aut = None
-        best_total = total
-        for aut in enumerate_whitehead_autos(rank):
-            table = aut.table
-            cand = 0
-            for codes in current:
-                cand += len(_apply_codes(table, rank, codes))
-                if cand >= best_total:
-                    break
-            if cand < best_total:
-                best_total = cand
-                best_aut = aut
-        if best_aut is None:
+        aut = _best_cut(current, rank)
+        if aut is None:
             break
-        current = [tuple(_apply_codes(best_aut.table, rank, codes)) for codes in current]
-        total = best_total
-        applied.append(best_aut)
+        current = [tuple(_apply_codes(aut.table, rank, codes)) for codes in current]
+        shorter = sum(len(c) for c in current)
+        if shorter >= total:
+            raise RuntimeError(f"{aut!r} does not shorten a tuple of total {total}")
+        total = shorter
+        applied.append(aut)
         lengths.append(total)
     end = tuple(Word(codes) for codes in current)
     return MinimizationTrace(start=start, end=end,

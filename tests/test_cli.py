@@ -98,6 +98,17 @@ class TestBasicSortCommand:
                            "e1", "e2", "e1", "e1", "e1 e2 e1", "e1")
         assert code == 1 and out.strip() == "false"
 
+    @pytest.mark.parametrize("argv", [
+        ("--relation", "e2", "--m", "0", "e1", "e2", "e1", "e2"),
+        ("--relation", "e3", "--m", "-1", "e1", "e2", "e1", "e2"),
+        ("--relation", "e4", "--n", "0", "e1", "e2", "e3", "e1", "e2", "e3"),
+        ("--relation", "e4", "--m", "0", "e1", "e2", "e3", "e1", "e2", "e3"),
+    ])
+    def test_modulus_below_one_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "basic-sort", *argv)
+        assert code == 2 and out == ""
+        assert "must be >= 1" in err and "Traceback" not in err
+
     def test_wrong_arity_usage_error(self, capsys):
         with pytest.raises(SystemExit):
             main(["basic-sort", "--relation", "e1", "e1", "e2", "e3"])
@@ -156,7 +167,7 @@ class TestVerifyCommand:
         assert json.dumps(a) == json.dumps(b)
 
     def test_resource_limit_exit_3(self, capsys):
-        code, _, err = run(capsys, "verify-ample", "--n", "5")
+        code, _, err = run(capsys, "verify-ample", "--n", "13")
         assert code == 3 and "resource limit" in err
 
     def test_oracle_bound_flag_recorded(self, capsys):

@@ -137,7 +137,12 @@ class TestVerifyAmple:
 
     def test_resource_limit_propagates(self):
         with pytest.raises(ResourceLimitError):
-            verify_ample(5)
+            verify_ample(5, Config(max_rank=8))
+
+    def test_default_config_passes_n6(self):
+        report = verify_ample(6)
+        assert report.overall
+        assert report.clause1.trace.minimal_total == 24
 
     def test_invalid_n(self):
         with pytest.raises(ValueError):

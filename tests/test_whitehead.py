@@ -1,3 +1,4 @@
+import functools
 import math
 
 import pytest
@@ -22,6 +23,43 @@ from ample.words import Word, commutator, invert, multiply, parse_word, relabel
 from conftest import words
 
 W = parse_word
+
+
+@functools.lru_cache(maxsize=None)
+def reference_autos(rank: int) -> tuple[WhiteheadAut, ...]:
+    return tuple(enumerate_whitehead_autos(rank))
+
+
+def brute_force_total(words_, aut: WhiteheadAut) -> int:
+    return sum(len(apply(aut, w)) for w in words_)
+
+
+def brute_force_minimal_total(words_, rank: int) -> int:
+    """Greedy descent over the full reference enumeration: each round applies
+    the first automorphism with the smallest strictly shorter total."""
+    current = list(words_)
+    total = sum(len(w) for w in current)
+    while True:
+        best = min(reference_autos(rank),
+                   key=lambda aut: brute_force_total(current, aut))
+        best_total = brute_force_total(current, best)
+        if best_total >= total:
+            return total
+        current = [apply(best, w) for w in current]
+        total = best_total
+
+
+@st.composite
+def word_tuples(draw):
+    """Tuples of 1-3 reduced words at rank 2-4; conjugating by a drawn word
+    makes many of them not cyclically reduced."""
+    rank = draw(st.integers(min_value=2, max_value=4))
+    tuple_ = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        w = draw(words(max_rank=rank, max_len=7))
+        g = draw(words(max_rank=rank, max_len=3))
+        tuple_.append(multiply(multiply(g, w), invert(g)))
+    return rank, tuple_
 
 
 class TestEnumeration:
@@ -116,6 +154,23 @@ class TestMinimize:
     def test_empty_tuple_rejected(self):
         with pytest.raises(ValueError):
             minimize([], 2)
+
+    @given(case=word_tuples())
+    @settings(max_examples=150, deadline=None)
+    def test_min_cut_engine_matches_brute_force(self, case):
+        rank, words_ = case
+        total = sum(len(w) for w in words_)
+        trace = minimize(words_, rank)
+        best_reduction = max(
+            total - brute_force_total(words_, aut)
+            for aut in reference_autos(rank))
+        lengths = trace.total_lengths
+        engine_reduction = lengths[0] - lengths[1] if len(lengths) > 1 else 0
+        assert engine_reduction == best_reduction
+        assert trace.minimal_total == brute_force_minimal_total(words_, rank)
+        assert all(a > b for a, b in zip(lengths, lengths[1:]))
+        assert all(aut.kind == "cut" for aut in trace.automorphisms_applied)
+        assert replay(trace) == trace.end
 
 
 class TestPrimitivity:
