@@ -122,6 +122,11 @@ def _bfs_order(adj: Adj, start: int) -> list[int]:
     return order
 
 
+def _encoding(adj: Sequence[dict[int, int]]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Hashable, totally ordered form of a renumbered adjacency tuple."""
+    return tuple(tuple(sorted(r.items())) for r in adj)
+
+
 def _renumber(adj: Adj, order: list[int]) -> tuple[dict[int, int], ...]:
     pos = {v: i for i, v in enumerate(order)}
     rows = []
@@ -138,7 +143,7 @@ def _renumber(adj: Adj, order: list[int]) -> tuple[dict[int, int], ...]:
 class SubgroupGraph:
     """Folded based core graph; basepoint is vertex 0; canonical numbering."""
 
-    __slots__ = ("adj", "ambient_rank")
+    __slots__ = ("adj", "ambient_rank", "_core")
 
     adj: tuple[dict[int, int], ...]
     ambient_rank: Optional[int]
@@ -146,6 +151,7 @@ class SubgroupGraph:
     def __init__(self, adj: tuple[dict[int, int], ...], ambient_rank: Optional[int] = None):
         object.__setattr__(self, "adj", adj)
         object.__setattr__(self, "ambient_rank", ambient_rank)
+        object.__setattr__(self, "_core", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SubgroupGraph is immutable")
@@ -169,7 +175,7 @@ class SubgroupGraph:
         return isinstance(other, SubgroupGraph) and self.adj == other.adj
 
     def __hash__(self) -> int:
-        return hash(tuple(tuple(sorted(r.items())) for r in self.adj))
+        return hash(_encoding(self.adj))
 
     def __repr__(self) -> str:
         return f"SubgroupGraph(vertices={self.num_vertices}, rank={rank(self)})"
@@ -194,13 +200,8 @@ class CyclicCore:
         if not adj:
             return CyclicCore(())
         # canonical start: the vertex whose BFS encoding is least
-        best = None
-        for start in sorted(adj):
-            cand = _renumber(adj, _bfs_order(adj, start))
-            enc = tuple(tuple(sorted(r.items())) for r in cand)
-            if best is None or enc < best[0]:
-                best = (enc, cand)
-        return CyclicCore(best[1])
+        return CyclicCore(min((_renumber(adj, _bfs_order(adj, start)) for start in adj),
+                              key=_encoding))
 
     @property
     def num_vertices(self) -> int:
@@ -210,7 +211,7 @@ class CyclicCore:
         return isinstance(other, CyclicCore) and self.adj == other.adj
 
     def __hash__(self) -> int:
-        return hash(tuple(tuple(sorted(r.items())) for r in self.adj))
+        return hash(_encoding(self.adj))
 
     def __bool__(self) -> bool:
         return bool(self.adj)
@@ -351,9 +352,10 @@ def intersect(g1: SubgroupGraph, g2: SubgroupGraph) -> SubgroupGraph:
 
 
 def cyclic_core(g: SubgroupGraph) -> CyclicCore:
-    """Strip all degree<=1 vertices, basepoint included."""
-    adj: Adj = {v: dict(nbrs) for v, nbrs in enumerate(g.adj)}
-    return CyclicCore._from_raw(adj)
+    """Strip all degree<=1 vertices, basepoint included (built once per g)."""
+    if g._core is None:
+        object.__setattr__(g, "_core", CyclicCore._from_raw(dict(enumerate(g.adj))))
+    return g._core
 
 
 def _traces_loop(adj: Sequence[dict[int, int]], start: int, codes: tuple[int, ...]) -> bool:
@@ -414,7 +416,7 @@ def conjugacy_intersection(g1: SubgroupGraph, g2: SubgroupGraph) -> list[Compone
         words = basis(graph)
         assert words, "cycle-bearing component must have rank >= 1"
         witnesses.append(ComponentWitness(graph=graph, witness=words[0]))
-    witnesses.sort(key=lambda cw: tuple(tuple(sorted(r.items())) for r in cw.graph.adj))
+    witnesses.sort(key=lambda cw: _encoding(cw.graph.adj))
     return witnesses
 
 
@@ -470,6 +472,25 @@ def _distances(adj: Sequence[dict[int, int]], start: int) -> list[int]:
     return dist
 
 
+def _extend(adj: Sequence[dict[int, int]], dists: list[list[int]], max_len: int,
+            classes: set[CyclicWord], start: int, v: int, path: list[int]) -> None:
+    """Record every closed cyclically reduced path of length <= max_len that
+    extends ``path`` (start -> v) with no letter below its first one: each
+    class has a rotation that starts at its least letter."""
+    first = letter_key(path[0]) if path else None
+    for code, t in adj[v].items():
+        if path and (code == -path[-1] or letter_key(code) < first):
+            continue
+        if len(path) + 1 + dists[start][t] > max_len:
+            continue
+        path.append(code)
+        if t == start and path[0] != -path[-1]:
+            classes.add(CyclicWord(tuple(path)))
+        if len(path) < max_len:
+            _extend(adj, dists, max_len, classes, start, t, path)
+        path.pop()
+
+
 def enumerate_cyclic_classes(core: CyclicCore, max_len: int) -> set[CyclicWord]:
     """All nontrivial conjugacy classes of cyclically reduced length <= max_len
     whose class meets the subgroups carried by ``core`` (i.e. cyclic words
@@ -479,20 +500,6 @@ def enumerate_cyclic_classes(core: CyclicCore, max_len: int) -> set[CyclicWord]:
         return classes
     adj = core.adj
     dists = [_distances(adj, v) for v in range(len(adj))]
-
-    def extend(start: int, v: int, path: list[int]) -> None:
-        for code, t in adj[v].items():
-            if path and code == -path[-1]:
-                continue
-            if len(path) + 1 + dists[start][t] > max_len:
-                continue
-            path.append(code)
-            if t == start and path[0] != -path[-1]:
-                classes.add(CyclicWord(tuple(path)))
-            if len(path) < max_len:
-                extend(start, t, path)
-            path.pop()
-
     for start in range(len(adj)):
-        extend(start, start, [])
+        _extend(adj, dists, max_len, classes, start, start, [])
     return classes

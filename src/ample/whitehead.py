@@ -57,6 +57,8 @@ class WhiteheadAut:
                 raise ValueError("cut automorphism needs multiplier and subset")
             if multiplier not in subset or -multiplier in subset:
                 raise ValueError("subset must contain the multiplier and not its inverse")
+            if any(c == 0 or abs(c) > rank for c in subset):
+                raise ValueError(f"subset letters must lie in ±1..±{rank}")
             table = self._cut_table(rank, multiplier, subset)
         elif kind == "perm":
             if mapping is None or len(mapping) != rank:

@@ -163,8 +163,12 @@ def relabel(u: Word, offset: int) -> Word:
 # Grammar (tokens separated by whitespace unless structural):
 #   word   := factor*
 #   factor := e<k> | E<k> | '[' word ',' word ']' | '(' word ')' '^' <int>
-# `[u,v]` expands to u v u^-1 v^-1 before reduction.
+# `[u,v]` expands to u v u^-1 v^-1 before reduction.  Brackets nest at most
+# MAX_NESTING deep, well inside Python's recursion limit.
 # ---------------------------------------------------------------------------
+
+MAX_NESTING = 200
+
 
 def _tokenize(text: str) -> list:
     tokens: list = []
@@ -220,28 +224,30 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def parse_word(self, stop=()) -> Word:
+    def parse_word(self, stop=(), depth=0) -> Word:
+        if depth > MAX_NESTING:
+            raise WordSyntaxError(f"brackets nested deeper than {MAX_NESTING}")
         codes: list[int] = []
         while True:
             tok = self.peek()
             if tok is None or tok in stop:
                 return Word(codes)
-            codes.extend(self.parse_factor().letters)
+            codes.extend(self.parse_factor(depth).letters)
 
-    def parse_factor(self) -> Word:
+    def parse_factor(self, depth: int) -> Word:
         tok = self.next()
         if isinstance(tok, int):
             return Word((tok,))
         if tok == "[":
-            u = self.parse_word(stop=(",",))
+            u = self.parse_word(stop=(",",), depth=depth + 1)
             if self.next() != ",":
                 raise WordSyntaxError("expected ',' inside [ , ]")
-            v = self.parse_word(stop=("]",))
+            v = self.parse_word(stop=("]",), depth=depth + 1)
             if self.next() != "]":
                 raise WordSyntaxError("unbalanced '['")
             return commutator(u, v)
         if tok == "(":
-            u = self.parse_word(stop=(")",))
+            u = self.parse_word(stop=(")",), depth=depth + 1)
             if self.next() != ")":
                 raise WordSyntaxError("unbalanced '('")
             if self.next() != "^":

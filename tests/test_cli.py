@@ -43,6 +43,12 @@ class TestWordCommands:
         code, _, err = run(capsys, "word", "reduce", "x1")
         assert code == 2 and "ample:" in err
 
+    def test_deep_nesting_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "word", "reduce", "(" * 600 + "e1" + ")^1" * 600)
+        assert code == 2 and out == ""
+        assert err.startswith("ample: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestSubgroupCommands:
     def test_member(self, capsys):

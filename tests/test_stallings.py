@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from ample.sequence import witness
 from ample.stallings import (
     ComponentWitness,
+    SubgroupGraph,
     build_core,
     basis,
     conjugacy_intersection,
@@ -20,9 +21,37 @@ from ample.stallings import (
 )
 from ample.words import CyclicWord, Word, cyclic_reduce, invert, multiply, parse_word
 
-from conftest import all_reduced_words, naive_products, random_reduced_word
+from conftest import all_reduced_words, naive_products, random_reduced_word, words
 
 W = parse_word
+
+
+def brute_force_cyclic_classes(core, max_len):
+    """Every cyclically reduced word of length <= max_len over the core's
+    letters that reads a closed path from some vertex, up to rotation.
+
+    Words are listed by length and a prefix is dropped once it reads no path
+    from any vertex, since no extension of it can then read a closed one.
+    """
+    letters = sorted({code for row in core.adj for code in row})
+    classes = set()
+    # (word, {(start, end) of every path reading the word})
+    frontier = [((), {(v, v) for v in range(core.num_vertices)})]
+    for _ in range(max_len):
+        nxt = []
+        for codes, ends in frontier:
+            for c in letters:
+                if codes and c == -codes[-1]:
+                    continue
+                new_ends = {(s, core.adj[e][c]) for s, e in ends if c in core.adj[e]}
+                if not new_ends:
+                    continue
+                new = codes + (c,)
+                nxt.append((new, new_ends))
+                if new[0] != -new[-1] and any(s == e for s, e in new_ends):
+                    classes.add(CyclicWord(new))
+        frontier = nxt
+    return classes
 
 
 def random_subgroup(rng, rank_=2, max_gens=3, max_len=5):
@@ -167,6 +196,16 @@ class TestCyclicCore:
     def test_trivial_empty(self):
         assert not cyclic_core(build_core([]))
 
+    def test_core_built_once_per_graph(self, rng):
+        for _ in range(20):
+            _, g = random_subgroup(rng, rng.choice((2, 3)))
+            core = cyclic_core(g)
+            assert cyclic_core(g) is core
+            fresh = SubgroupGraph(tuple(dict(row) for row in g.adj))
+            assert cyclic_core(fresh) == core
+        with pytest.raises(AttributeError):
+            g._core = None
+
 
 class TestConjugacy:
     def test_is_conjugate_into_examples(self):
@@ -232,3 +271,13 @@ class TestConjugacy:
                     CyclicWord((1, 1)), CyclicWord((-1, -1)),
                     CyclicWord((1, 1, 1)), CyclicWord((-1, -1, -1))}
         assert classes == expected
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_enumerate_cyclic_classes_matches_brute_force(self, data):
+        rank_ = data.draw(st.integers(min_value=1, max_value=4))
+        gens = data.draw(st.lists(words(rank_, 6), min_size=1, max_size=3))
+        max_len = data.draw(st.integers(min_value=1, max_value=7))
+        core = cyclic_core(build_core(gens))
+        assert (enumerate_cyclic_classes(core, max_len)
+                == brute_force_cyclic_classes(core, max_len))

@@ -119,6 +119,19 @@ class TestApply:
             apply(aut, W("e3"))
 
 
+class TestCutValidation:
+    @pytest.mark.parametrize("subset", [{1, 0, 7}, {1, 0}, {1, 3}, {1, -3}])
+    def test_subset_outside_rank_rejected(self, subset):
+        with pytest.raises(ValueError):
+            WhiteheadAut(2, "cut", multiplier=1, subset=frozenset(subset))
+
+    def test_malformed_descriptor_rejected(self):
+        good = {"kind": "cut", "rank": 2, "multiplier": 1, "subset": [1, 2, -2]}
+        assert WhiteheadAut.from_descriptor(good).descriptor() == good
+        with pytest.raises(ValueError):
+            WhiteheadAut.from_descriptor(dict(good, subset=[1, 0, 7]))
+
+
 class TestMinimize:
     def test_primitive_pair_word(self):
         trace = minimize([W("e1 e2")], 2)

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ample.words import (
+    MAX_NESTING,
     CyclicWord,
     GeneratorIndexError,
     Word,
@@ -47,6 +48,14 @@ class TestParse:
 
     def test_nested_sugar(self):
         assert W("[e1, [e2,e3]]") == commutator(Word((1,)), commutator(Word((2,)), Word((3,))))
+
+    def test_nesting_limit(self):
+        assert W("(" * MAX_NESTING + "e1" + ")^1" * MAX_NESTING) == Word((1,))
+        deep = MAX_NESTING + 1
+        with pytest.raises(WordSyntaxError, match="nested deeper"):
+            W("(" * deep + "e1" + ")^1" * deep)
+        with pytest.raises(WordSyntaxError, match="nested deeper"):
+            W("[" * deep + "e1, e2" + "]" * deep)
 
     def test_whitespace_inside_brackets(self):
         assert W("[ e1 e2 , e3 ]") == commutator(Word((1, 2)), Word((3,)))
