@@ -58,7 +58,6 @@ from .whitehead import (
 )
 from .words import (
     CyclicWord,
-    Letter,
     Word,
     commutator,
     cyclic_reduce,

@@ -7,6 +7,7 @@ false / verification fail; 2 usage error; 3 resource limit exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -57,7 +58,9 @@ def _bool_exit(value: bool) -> int:
     return 0 if value else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser (built once: argparse parsers are reference cycles)."""
     parser = argparse.ArgumentParser(
         prog="ample",
         description="Free-group toolkit and ampleness-sequence verifier.")
@@ -174,16 +177,16 @@ def _run_subgroup(args) -> int:
 
 
 def _run_basic_sort(args) -> int:
+    relation = args.relation.upper()
+    arity = imaginaries.CosetQuery.ARITY[relation]
+    if len(args.words) != 2 * arity:
+        raise ValueError(f"{args.relation} needs {2 * arity} words, "
+                         f"got {len(args.words)}")
     words = [parse_word(t) for t in args.words]
-    arity = {"e1": 1, "e2": 2, "e3": 2, "e4": 3}[args.relation]
-    if len(words) != 2 * arity:
-        raise SystemExit(f"ample basic-sort: {args.relation} needs "
-                         f"{2 * arity} words, got {len(words)}")
-    left = tuple(words[:arity])
-    right = tuple(words[arity:])
-    query = imaginaries.CosetQuery(relation=args.relation.upper(),
+    query = imaginaries.CosetQuery(relation=relation,
                                    modulus_m=args.m, modulus_n=args.n,
-                                   left=left, right=right)
+                                   left=tuple(words[:arity]),
+                                   right=tuple(words[arity:]))
     return _bool_exit(query.evaluate())
 
 

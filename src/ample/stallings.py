@@ -232,21 +232,26 @@ class ComponentWitness:
 # Operations
 # ---------------------------------------------------------------------------
 
+def _path_arcs(arcs: list[tuple[int, int, int]], codes: tuple[int, ...],
+               start: int, end: int, next_v: int) -> int:
+    """Append the arcs of a path reading ``codes`` from start to end through
+    fresh vertices numbered from next_v (no arcs for the empty word);
+    returns the next unused vertex."""
+    prev = start
+    for code in codes[:-1]:
+        arcs.append((prev, code, next_v))
+        prev, next_v = next_v, next_v + 1
+    if codes:
+        arcs.append((prev, codes[-1], end))
+    return next_v
+
+
 def build_core(generators: Sequence[Word], ambient_rank: Optional[int] = None) -> SubgroupGraph:
     """Folded based core graph of the subgroup generated by the given words."""
     arcs: list[tuple[int, int, int]] = []
     next_v = 1
     for w in generators:
-        codes = w.letters
-        if not codes:
-            continue
-        prev = 0
-        for i, code in enumerate(codes):
-            tgt = 0 if i == len(codes) - 1 else next_v
-            arcs.append((prev, code, tgt))
-            prev = tgt
-            if tgt != 0:
-                next_v += 1
+        next_v = _path_arcs(arcs, w.letters, 0, 0, next_v)
     uf, adj = _fold(next_v, arcs)
     return SubgroupGraph._from_raw(adj, uf.find(0), ambient_rank)
 
@@ -260,6 +265,38 @@ def contains(g: SubgroupGraph, w: Word) -> bool:
             return False
         v = nxt
     return v == 0
+
+
+def in_double_coset(h_gens: Sequence[Word], b1: Word, k_gens: Sequence[Word], b2: Word) -> bool:
+    """True iff b2 = x b1 y for some x in <h_gens> and y in <k_gens>.
+
+    That holds iff <h_gens> meets the coset b2 <k_gens> b1^-1, whose elements
+    are the labels of the paths s -> f in the folded graph of a b2 path
+    s -> t, the k loops at t and a b1 path f -> t; so it holds iff the
+    product of that graph with the core of <h_gens> joins (0, s) to (0, f).
+    """
+    t, s, f = 0, (1 if b2 else 0), (2 if b1 else 0)
+    arcs: list[tuple[int, int, int]] = []
+    next_v = _path_arcs(arcs, b2.letters, s, t, 3)
+    next_v = _path_arcs(arcs, b1.letters, f, t, next_v)
+    for w in k_gens:
+        next_v = _path_arcs(arcs, w.letters, t, t, next_v)
+    uf, coset = _fold(next_v, arcs)
+    h = build_core(h_gens).adj
+    start, goal = (0, uf.find(s)), (0, uf.find(f))
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        u, v = pair = queue.popleft()
+        if pair == goal:
+            return True
+        row = coset[v]
+        for code, x in h[u].items():
+            y = row.get(code)
+            if y is not None and (x, y) not in seen:
+                seen.add((x, y))
+                queue.append((x, y))
+    return False
 
 
 def rank(g: SubgroupGraph) -> int:

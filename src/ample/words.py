@@ -9,7 +9,7 @@ it as an explicit argument elsewhere in the package.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 
 class WordSyntaxError(ValueError):
@@ -18,23 +18,6 @@ class WordSyntaxError(ValueError):
 
 class GeneratorIndexError(WordSyntaxError):
     """Generator index outside the allowed range (indices start at 1)."""
-
-
-class Letter(NamedTuple):
-    """One basis letter: generator index (>= 1) and a sign (+1 or -1)."""
-
-    index: int
-    sign: int
-
-    @property
-    def code(self) -> int:
-        return self.index * self.sign
-
-    @staticmethod
-    def from_code(code: int) -> "Letter":
-        if code == 0:
-            raise GeneratorIndexError("letter code 0 is not a generator")
-        return Letter(abs(code), 1 if code > 0 else -1)
 
 
 def letter_key(code: int) -> tuple[int, int]:
@@ -108,9 +91,6 @@ class Word:
         """Largest generator index appearing (0 for the identity)."""
         return max((abs(c) for c in self.letters), default=0)
 
-    def to_letters(self) -> tuple[Letter, ...]:
-        return tuple(Letter.from_code(c) for c in self.letters)
-
 
 EMPTY = Word()
 
@@ -164,10 +144,19 @@ def relabel(u: Word, offset: int) -> Word:
 #   word   := factor*
 #   factor := e<k> | E<k> | '[' word ',' word ']' | '(' word ')' '^' <int>
 # `[u,v]` expands to u v u^-1 v^-1 before reduction.  Brackets nest at most
-# MAX_NESTING deep, well inside Python's recursion limit.
+# MAX_NESTING deep, well inside Python's recursion limit, and no expansion
+# (a word, a power or a commutator) may exceed MAX_WORD_LETTERS letters, so
+# nested powers cannot ask for exponentially many.
 # ---------------------------------------------------------------------------
 
 MAX_NESTING = 200
+MAX_WORD_LETTERS = 100_000
+
+
+def _check_letters(count: int) -> None:
+    if count > MAX_WORD_LETTERS:
+        raise WordSyntaxError(
+            f"word expands to more than {MAX_WORD_LETTERS} letters")
 
 
 def _tokenize(text: str) -> list:
@@ -233,6 +222,7 @@ class _Parser:
             if tok is None or tok in stop:
                 return Word(codes)
             codes.extend(self.parse_factor(depth).letters)
+            _check_letters(len(codes))
 
     def parse_factor(self, depth: int) -> Word:
         tok = self.next()
@@ -245,6 +235,7 @@ class _Parser:
             v = self.parse_word(stop=("]",), depth=depth + 1)
             if self.next() != "]":
                 raise WordSyntaxError("unbalanced '['")
+            _check_letters(2 * (len(u) + len(v)))
             return commutator(u, v)
         if tok == "(":
             u = self.parse_word(stop=(")",), depth=depth + 1)
@@ -255,6 +246,7 @@ class _Parser:
             m = self.next()
             if not (isinstance(m, tuple) and m[0] == "int"):
                 raise WordSyntaxError("expected integer exponent after '^'")
+            _check_letters(len(u) * abs(m[1]))
             return power(u, m[1])
         raise WordSyntaxError(f"unexpected token {tok!r}")
 

@@ -15,7 +15,6 @@ from ample.imaginaries import (
     e2_left_coset,
     e3_right_coset,
     e4_double_coset,
-    e4_exponent_bound,
 )
 from ample.words import Word, canonical_root, invert, multiply, power
 
@@ -127,7 +126,10 @@ def run_e4_suite(rng: random.Random, count: int, oracle_every: int = 5) -> int:
 
 
 def brute_force_double_coset(n: int, triple1, triple2, slack: int = 4) -> bool:
-    """Independent exhaustive search with a widened exponent window."""
+    """Independent search for a**(n k) b1 c**(n l) == b2 over the window
+    |k|, |l| <= |b1| + |b2| + slack, shared with no decider: the powers of
+    c**n are listed once, then each k asks whether (a**(n k) b1)^-1 b2 is
+    one of them."""
     (a1, b1, c1) = triple1
     (a2, b2, c2) = triple2
     if not a1 or not a2 or not c1 or not c2:
@@ -136,11 +138,7 @@ def brute_force_double_coset(n: int, triple1, triple2, slack: int = 4) -> bool:
     rc1, rc2 = canonical_root(c1), canonical_root(c2)
     if ra1 != ra2 or rc1 != rc2:
         return False
-    bk = e4_exponent_bound(n, ra1, b1, b2) + slack
-    bl = e4_exponent_bound(n, rc1, b1, b2) + slack
-    for k in range(-bk, bk + 1):
-        for l in range(-bl, bl + 1):
-            prod = multiply(multiply(power(ra1, n * k), b1), power(rc1, n * l))
-            if prod == b2:
-                return True
-    return False
+    window = range(-(len(b1) + len(b2) + slack), len(b1) + len(b2) + slack + 1)
+    right_powers = {power(rc1, n * l) for l in window}
+    return any(multiply(invert(multiply(power(ra1, n * k), b1)), b2) in right_powers
+               for k in window)

@@ -1,4 +1,6 @@
+import gc
 import json
+import time
 
 import jsonschema
 import pytest
@@ -48,6 +50,37 @@ class TestWordCommands:
         assert code == 2 and out == ""
         assert err.startswith("ample: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", [
+        "(" * 200 + "e1 e2" + ")^2" * 200,
+        "[" * 60 + "e1" + "".join(f",e{i % 5 + 2}]" for i in range(60)),
+    ])
+    def test_expansion_blowup_is_usage_error(self, capsys, text):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "word", "reduce", text)
+        assert time.perf_counter() - start < 10
+        assert code == 2 and out == ""
+        assert err.startswith("ample: word expands to more than")
+        assert err.count("\n") == 1
+
+
+class TestParser:
+    def test_no_parser_garbage_per_call(self, capsys):
+        main(["word", "reduce", "e1"])
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for _ in range(2):
+                main(["word", "reduce", "e1 E1 e2"])
+            gc.collect()
+            leaked = [o for o in gc.garbage if type(o).__name__ == "HelpFormatter"]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        capsys.readouterr()
+        assert leaked == []
 
 
 class TestSubgroupCommands:
@@ -116,8 +149,9 @@ class TestBasicSortCommand:
         assert "must be >= 1" in err and "Traceback" not in err
 
     def test_wrong_arity_usage_error(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["basic-sort", "--relation", "e1", "e1", "e2", "e3"])
+        code, out, err = run(capsys, "basic-sort", "--relation", "e1", "e1", "e2", "e3")
+        assert code == 2 and out == ""
+        assert err == "ample: e1 needs 2 words, got 3\n"
 
     def test_help_documents_m_inertness(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -10,7 +10,7 @@ from ample.imaginaries import (
     e4_double_coset,
     e4_exponent_bound,
 )
-from ample.words import Word, multiply, parse_word, power
+from ample.words import Word, invert, multiply, parse_word, power
 
 from conftest import random_reduced_word
 from relation_suites import (
@@ -102,6 +102,41 @@ class TestE4:
             assert e4_double_coset(1, n, t1, t2) == \
                 brute_force_double_coset(n, t1, t2)
 
+    @staticmethod
+    def _conjugated_root(rng):
+        """A nontrivial word p u p^-1 that is not cyclically reduced."""
+        while True:
+            p = random_reduced_word(rng, 4, rng.randint(1, 3))
+            u = random_reduced_word(rng, 4, rng.randint(1, 3))
+            w = multiply(multiply(p, u), invert(p))
+            if len(w) > 1 and w.letters[0] == -w.letters[-1]:
+                return w
+
+    def test_exact_on_conjugated_roots(self):
+        # planted members with large exponents on roots that are not
+        # cyclically reduced; each power adds only the root's cyclic core
+        rng = random.Random(146)
+        for idx in range(400):
+            n = rng.randint(1, 3)
+            ra, rc = self._conjugated_root(rng), self._conjugated_root(rng)
+            b1 = random_reduced_word(rng, 4, rng.randint(0, 5))
+            k, l = rng.randint(-30, 30), rng.randint(-30, 30)
+            b2 = multiply(multiply(power(ra, n * k), b1), power(rc, n * l))
+            e = [rng.choice((-2, -1, 1, 2)) for _ in range(4)]
+            t1 = (power(ra, e[0]), b1, power(rc, e[1]))
+            t2 = (power(ra, e[2]), b2, power(rc, e[3]))
+            assert e4_double_coset(1, n, t1, t2), (idx, t1, t2, n)
+        # toolkit-mix q0146: k = -7 on the root e1 E4 E1 with n = 3
+        a = W("e1 E4 E4 E1")
+        b2 = W("e1 " + "e4 " * 21 + "E1 e3 e2 E4")
+        assert e4_double_coset(1, 3, (a, W("e3 e2 E4"), W("e1 e2")),
+                               (a, b2, W("E2 E1 E2 E1")))
+        # e1 (e3 e2 E3) e1 e3 lies in <e1, e3 e2 E3> e3 but not in <e1> e3 <e2>
+        t1 = (W("e1"), W("e3"), W("e2"))
+        t2 = (W("e1"), W("e1 e3 e2 E3 e1 e3"), W("e2"))
+        assert not e4_double_coset(1, 1, t1, t2)
+        assert not brute_force_double_coset(1, t1, t2)
+
     def test_growth_past_bound(self, rng):
         # with unit-length roots on distinct letters, products with k past
         # the bound are strictly longer than b2, monotonically in k
@@ -129,7 +164,6 @@ class TestCosetOracles:
 
     @staticmethod
     def _power_set(b, m, limit):
-        from ample.words import invert
         out = {Word()}
         step = power(b, m)
         fwd = bwd = Word()
@@ -143,7 +177,6 @@ class TestCosetOracles:
         return out
 
     def test_e2_e3_agree_with_power_enumeration(self, rng):
-        from ample.words import invert
         for _ in range(150):
             m = rng.randint(1, 3)
             b = random_reduced_word(rng, 2, rng.randint(1, 3))

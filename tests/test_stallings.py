@@ -15,6 +15,7 @@ from ample.stallings import (
     enumerate_cyclic_classes,
     equals,
     immerses_into,
+    in_double_coset,
     intersect,
     is_conjugate_into,
     rank,
@@ -108,6 +109,45 @@ class TestBuildAndMembership:
                        if len(w) <= max_len}
             for w in all_reduced_words(rank_, max_len):
                 assert contains(g, w) == (w in members)
+
+
+class TestDoubleCoset:
+    def test_examples(self):
+        a, b, c = W("e1"), W("e3"), W("e2")
+        assert in_double_coset([a], b, [c], W("E1 E1 e3 e2 e2 e2"))
+        assert in_double_coset([a], Word(), [c], W("e1 e2"))
+        assert not in_double_coset([a], Word(), [c], W("e2 e1"))
+        # in <e1, e3 e2 E3> e3, but not in <e1> e3 <e2>
+        assert not in_double_coset([a], b, [c], W("e1 e3 e2 E3 e1 e3"))
+        assert in_double_coset([], b, [], b)
+        assert not in_double_coset([], b, [], W("e3 e3"))
+        assert in_double_coset([W("e1"), W("e2")], W("e1"), [], W("E2 E2"))
+
+    def test_trivial_right_factor_is_membership(self, rng):
+        for _ in range(100):
+            gens = [random_reduced_word(rng, 2, rng.randint(1, 4)) for _ in range(2)]
+            w = random_reduced_word(rng, 2, rng.randint(0, 6))
+            assert in_double_coset(gens, Word(), [], w) == contains(build_core(gens), w)
+
+    def test_random_against_search(self, rng):
+        for _ in range(150):
+            hg = [random_reduced_word(rng, 2, rng.randint(1, 3))
+                  for _ in range(rng.randint(1, 2))]
+            kg = [random_reduced_word(rng, 2, rng.randint(1, 3))
+                  for _ in range(rng.randint(1, 2))]
+            b1 = random_reduced_word(rng, 2, rng.randint(0, 3))
+            hs, ks = sorted(naive_products(hg, 3), key=Word.sort_key), \
+                sorted(naive_products(kg, 3), key=Word.sort_key)
+            planted = multiply(multiply(rng.choice(hs), b1), rng.choice(ks))
+            assert in_double_coset(hg, b1, kg, planted)
+            b2 = random_reduced_word(rng, 2, rng.randint(0, 5))
+            got = in_double_coset(hg, b1, kg, b2)
+            k_core = build_core(kg)
+            if any(contains(k_core, multiply(invert(multiply(x, b1)), b2)) for x in hs):
+                assert got
+            # double cosets partition the group, and inversion swaps the sides
+            assert got == in_double_coset(hg, b2, kg, b1)
+            assert got == in_double_coset(kg, invert(b1), hg, invert(b2))
 
 
 class TestBasisAndRank:

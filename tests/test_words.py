@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from ample.words import (
     MAX_NESTING,
+    MAX_WORD_LETTERS,
     CyclicWord,
     GeneratorIndexError,
     Word,
@@ -56,6 +57,16 @@ class TestParse:
             W("(" * deep + "e1" + ")^1" * deep)
         with pytest.raises(WordSyntaxError, match="nested deeper"):
             W("[" * deep + "e1, e2" + "]" * deep)
+
+    def test_expansion_cap(self):
+        cap = MAX_WORD_LETTERS
+        assert len(W(f"(e1)^{cap}")) == cap
+        assert len(W(f"[(e1)^{cap // 2 - 1}, e2]")) == cap
+        for text in (f"(e1)^{cap + 1}", f"(E1)^-{cap + 1}",
+                     f"[(e1)^{cap // 2}, e2]", f"(e1)^{cap} e2",
+                     f"(e1)^{cap} (E1)^{cap}", f"(e1 e2)^{10 ** 12}"):
+            with pytest.raises(WordSyntaxError, match="more than"):
+                W(text)
 
     def test_whitespace_inside_brackets(self):
         assert W("[ e1 e2 , e3 ]") == commutator(Word((1, 2)), Word((3,)))
