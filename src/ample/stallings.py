@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .words import Word, CyclicWord, cyclic_reduce, invert, letter_key, multiply
+from .words import Word, CyclicWord, cyclic_reduce, letter_key
 
 Adj = dict[int, dict[int, int]]
 
@@ -395,25 +395,41 @@ def cyclic_core(g: SubgroupGraph) -> CyclicCore:
     return g._core
 
 
-def _traces_loop(adj: Sequence[dict[int, int]], start: int, codes: tuple[int, ...]) -> bool:
-    v = start
-    for code in codes:
-        nxt = adj[v].get(code)
-        if nxt is None:
-            return False
-        v = nxt
-    return v == start
+def reads_closed_path(core: CyclicCore, codes: Sequence[int]) -> bool:
+    """True iff ``codes`` reads a closed path from some vertex of ``core``
+    (the empty word reads one everywhere, even in the empty core)."""
+    if not codes:
+        return True
+    adj = core.adj
+    for start in range(len(adj)):
+        v = start
+        for code in codes:
+            v = adj[v].get(code)
+            if v is None:
+                break
+        else:
+            if v == start:
+                return True
+    return False
 
 
 def is_conjugate_into(w: Word, g: SubgroupGraph) -> bool:
     """True iff the cyclic reduction of w reads a closed path somewhere in
     the cyclic core of g."""
-    core = cyclic_core(g)
-    if not core:
-        return not w
-    cw, _ = cyclic_reduce(w)
-    codes = cw.letters
-    return any(_traces_loop(core.adj, v, codes) for v in range(core.num_vertices))
+    return reads_closed_path(cyclic_core(g), cyclic_reduce(w)[0].letters)
+
+
+def _cyclic_product(c1: CyclicCore, c2: CyclicCore) -> Adj:
+    """Peeled fiber product of two cyclic cores over all vertex pairs, the
+    pair (v1, v2) numbered v1 * |c2| + v2.  A cyclically reduced word reads
+    a closed path in it iff it reads one in each core."""
+    n2 = c2.num_vertices
+    adj: Adj = {}
+    for v1, row1 in enumerate(c1.adj):
+        for v2, row2 in enumerate(c2.adj):
+            adj[v1 * n2 + v2] = {code: t1 * n2 + row2[code]
+                                 for code, t1 in row1.items() if code in row2}
+    return _peel(adj, keep=None)
 
 
 def conjugacy_intersection(g1: SubgroupGraph, g2: SubgroupGraph) -> list[ComponentWitness]:
@@ -423,22 +439,7 @@ def conjugacy_intersection(g1: SubgroupGraph, g2: SubgroupGraph) -> list[Compone
     A nontrivial word is conjugate into both g1 and g2 iff it is conjugate
     into the subgroup of some returned component.
     """
-    c1, c2 = cyclic_core(g1), cyclic_core(g2)
-    if not c1 or not c2:
-        return []
-    n2 = c2.num_vertices
-    adj: Adj = {}
-    for v1 in range(c1.num_vertices):
-        row1 = c1.adj[v1]
-        for v2 in range(n2):
-            row2 = c2.adj[v2]
-            row = {}
-            for code, t1 in row1.items():
-                t2 = row2.get(code)
-                if t2 is not None:
-                    row[code] = t1 * n2 + t2
-            adj[v1 * n2 + v2] = row
-    adj = _peel(adj, keep=None)
+    adj = _cyclic_product(cyclic_core(g1), cyclic_core(g2))
     witnesses = []
     remaining = set(adj)
     while remaining:
@@ -496,47 +497,60 @@ def immerses_into(src: CyclicCore, dst: CyclicCore) -> bool:
 # Bounded-length enumeration oracle
 # ---------------------------------------------------------------------------
 
-def _distances(adj: Sequence[dict[int, int]], start: int) -> list[int]:
-    dist = [-1] * len(adj)
+Arcs = list[list[tuple[int, int, int]]]
+
+
+def _rank(code: int) -> int:
+    """Integer form of ``letter_key``: e1 -> 1, E1 -> 2, e2 -> 3, ..."""
+    return 2 * code - 1 if code > 0 else -2 * code
+
+
+def _distances(arcs: Arcs, start: int) -> list[int]:
+    dist = [-1] * len(arcs)
     dist[start] = 0
     queue = deque([start])
     while queue:
         v = queue.popleft()
-        for t in adj[v].values():
+        for _, _, t in arcs[v]:
             if dist[t] < 0:
                 dist[t] = dist[v] + 1
                 queue.append(t)
     return dist
 
 
-def _extend(adj: Sequence[dict[int, int]], dists: list[list[int]], max_len: int,
-            classes: set[CyclicWord], start: int, v: int, path: list[int]) -> None:
+def _extend(arcs: Arcs, dist: list[int], max_len: int, found: set[tuple[int, ...]],
+            start: int, v: int, path: list[int], first: int) -> None:
     """Record every closed cyclically reduced path of length <= max_len that
-    extends ``path`` (start -> v) with no letter below its first one: each
-    class has a rotation that starts at its least letter."""
-    first = letter_key(path[0]) if path else None
-    for code, t in adj[v].items():
-        if path and (code == -path[-1] or letter_key(code) < first):
-            continue
-        if len(path) + 1 + dists[start][t] > max_len:
+    extends ``path`` (start -> v) with no letter ranked below its first one
+    (rank ``first``; 0 while the path is empty): each class has a rotation
+    that starts at its least letter."""
+    depth = len(path) + 1
+    back = -path[-1] if path else 0
+    for rank_, code, t in arcs[v]:
+        if rank_ < first or code == back or depth + dist[t] > max_len:
             continue
         path.append(code)
-        if t == start and path[0] != -path[-1]:
-            classes.add(CyclicWord(tuple(path)))
-        if len(path) < max_len:
-            _extend(adj, dists, max_len, classes, start, t, path)
+        if t == start and path[0] != -code:
+            found.add(tuple(path))
+        if depth < max_len:
+            _extend(arcs, dist, max_len, found, start, t, path, first or rank_)
         path.pop()
 
 
-def enumerate_cyclic_classes(core: CyclicCore, max_len: int) -> set[CyclicWord]:
+def enumerate_cyclic_classes(core: CyclicCore, max_len: int,
+                             other: Optional[CyclicCore] = None) -> set[CyclicWord]:
     """All nontrivial conjugacy classes of cyclically reduced length <= max_len
     whose class meets the subgroups carried by ``core`` (i.e. cyclic words
-    readable as closed paths in the core), up to rotation."""
-    classes: set[CyclicWord] = set()
-    if not core:
-        return classes
-    adj = core.adj
-    dists = [_distances(adj, v) for v in range(len(adj))]
-    for start in range(len(adj)):
-        _extend(adj, dists, max_len, classes, start, start, [])
-    return classes
+    readable as closed paths in the core), up to rotation.
+
+    With ``other``, only the classes readable in both cores: one walk over
+    their peeled product, equal to the intersection of the two class sets.
+    """
+    adj = dict(enumerate(core.adj)) if other is None else _cyclic_product(core, other)
+    index = {v: i for i, v in enumerate(adj)}
+    arcs = [sorted((_rank(code), code, index[t]) for code, t in row.items())
+            for row in adj.values()]
+    found: set[tuple[int, ...]] = set()
+    for start in range(len(arcs)):
+        _extend(arcs, _distances(arcs, start), max_len, found, start, start, [], 0)
+    return {CyclicWord(path) for path in found}

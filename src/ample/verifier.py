@@ -14,8 +14,11 @@ sorts directly.
 Conjugacy parts record the verification method per component
 (component-immersion is a single-conjugator certificate; per-generator is
 exact for generators only) plus a bounded-length enumeration cross-check
-whose bound L is always recorded: reports state what was checked, they do
-not claim unconditional proof of the conjugacy-closure equality.
+whose bound L is always recorded: one walk over the product of the two
+cyclic cores lists the classes of length <= L they share, and each must
+read a closed path in the cyclic core of the expected meet h0.  Reports state
+what was checked, they do not claim unconditional proof of the
+conjugacy-closure equality.
 """
 
 from __future__ import annotations
@@ -39,9 +42,10 @@ from .stallings import (
     immerses_into,
     intersect,
     is_conjugate_into,
+    reads_closed_path,
 )
 from .whitehead import MinimizationTrace, is_basis, minimize
-from .words import CyclicWord, Word, format_word, relabel
+from .words import Word, format_word, relabel
 
 CLAUSE1_METHOD = "whitehead-non-primitivity"
 CLAUSE2_METHOD = "certificate-checked (free-factorization criterion)"
@@ -300,11 +304,8 @@ def _conjugacy_part(h1: SubgroupGraph, h2: SubgroupGraph, h0: SubgroupGraph,
         reports.append({"component": idx, "method": "per-generator",
                         "ok": gens_ok, "witness": format_word(comp.witness)})
         all_ok = all_ok and gens_ok
-    classes1 = enumerate_cyclic_classes(cyclic_core(h1), bound)
-    classes2 = enumerate_cyclic_classes(cyclic_core(h2), bound)
-    common = classes1 & classes2
-    oracle_ok = all(is_conjugate_into(cw.to_word(), h0)
-                    for cw in sorted(common, key=CyclicWord.sort_key))
+    common = enumerate_cyclic_classes(cyclic_core(h1), bound, cyclic_core(h2))
+    oracle_ok = all(reads_closed_path(h0_core, cw.letters) for cw in common)
     return all_ok and oracle_ok, tuple(reports), len(common), oracle_ok
 
 
@@ -318,9 +319,8 @@ def check_clause3(config: Config = Config()) -> AclResult:
     trivial = build_core([])
     real_ok = equals(intersect(g1, g2), trivial)
     components = conjugacy_intersection(g1, g2)
-    classes1 = enumerate_cyclic_classes(cyclic_core(g1), config.oracle_bound)
-    classes2 = enumerate_cyclic_classes(cyclic_core(g2), config.oracle_bound)
-    common = classes1 & classes2
+    common = enumerate_cyclic_classes(cyclic_core(g1), config.oracle_bound,
+                                      cyclic_core(g2))
     conj_ok = not components
     oracle_ok = not common
     millis = (time.perf_counter() - start) * 1000

@@ -153,11 +153,6 @@ def enumerate_whitehead_autos(rank: int) -> Iterator[WhiteheadAut]:
             yield WhiteheadAut(rank, "perm", mapping=mapping)
 
 
-def cut_type_count(rank: int) -> int:
-    """Number of cut-type automorphisms after removing identities."""
-    return 2 * rank * ((1 << (2 * rank - 2)) - 1)
-
-
 def _check_rank(words: Sequence[Word], rank: int) -> None:
     for w in words:
         if w.max_index() > rank:

@@ -345,9 +345,6 @@ class CyclicWord:
     def to_word(self) -> Word:
         return Word(self.letters)
 
-    def sort_key(self):
-        return (len(self.canonical), tuple(letter_key(c) for c in self.canonical))
-
 
 def cyclic_reduce(u: Word) -> tuple[CyclicWord, Word]:
     """Split u as conjugator * core * conjugator^-1 with minimal conjugator."""

@@ -19,6 +19,7 @@ from ample.stallings import (
     intersect,
     is_conjugate_into,
     rank,
+    reads_closed_path,
 )
 from ample.words import CyclicWord, Word, cyclic_reduce, invert, multiply, parse_word
 
@@ -321,3 +322,36 @@ class TestConjugacy:
         core = cyclic_core(build_core(gens))
         assert (enumerate_cyclic_classes(core, max_len)
                 == brute_force_cyclic_classes(core, max_len))
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_product_walk_matches_intersection(self, data):
+        # the second subgroup shares a drawn prefix of the first one's
+        # generators, so the two class sets often meet; a generator may
+        # reduce to the identity, so either core may be empty
+        rank_ = data.draw(st.integers(min_value=1, max_value=4))
+        gens1 = data.draw(st.lists(words(rank_, 6), min_size=1, max_size=3))
+        shared = data.draw(st.integers(min_value=0, max_value=len(gens1)))
+        gens2 = gens1[:shared] + data.draw(
+            st.lists(words(rank_, 6), min_size=0 if shared else 1,
+                     max_size=3 - shared))
+        max_len = data.draw(st.integers(min_value=1, max_value=7))
+        c1, c2 = cyclic_core(build_core(gens1)), cyclic_core(build_core(gens2))
+        assert (enumerate_cyclic_classes(c1, max_len, c2)
+                == enumerate_cyclic_classes(c1, max_len)
+                & enumerate_cyclic_classes(c2, max_len))
+
+    def test_product_walk_with_empty_core(self):
+        circle = cyclic_core(build_core([W("e1")]))
+        empty = cyclic_core(build_core([]))
+        assert enumerate_cyclic_classes(circle, 4, empty) == set()
+        assert enumerate_cyclic_classes(empty, 4, circle) == set()
+
+    def test_reads_closed_path(self):
+        g = build_core([W("e1"), W("E3 e2 e3")])
+        core = cyclic_core(g)
+        assert reads_closed_path(core, (1,)) and reads_closed_path(core, (2,))
+        assert not reads_closed_path(core, (1, 2))
+        assert reads_closed_path(core, ())
+        assert reads_closed_path(cyclic_core(build_core([])), ())
+        assert not reads_closed_path(cyclic_core(build_core([])), (1,))

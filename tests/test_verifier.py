@@ -5,11 +5,18 @@ import pytest
 
 from ample.config import Config
 from ample.sequence import commutator_chain, witness
-from ample.stallings import build_core, conjugacy_intersection, equals, intersect
+from ample.stallings import (
+    build_core,
+    conjugacy_intersection,
+    equals,
+    intersect,
+    is_conjugate_into,
+)
 from ample.verifier import (
     REPORT_SCHEMA,
     ResourceLimitError,
     WitnessSequence,
+    _conjugacy_part,
     check_clause1,
     check_clause2,
     check_clause3,
@@ -113,6 +120,40 @@ class TestClause4:
         h2_bad = build_core([witness(1), witness(2)])
         h0 = build_core([witness(0)])
         assert not equals(intersect(h1, h2_bad), h0)
+
+
+# oracle_common_classes at L = 10 for clause 3 and clause 4 at i = 1..7
+ORACLE_COUNTS_L10 = {0: 0, 1: 20, 2: 66, 3: 164, 4: 314, 5: 516, 6: 770, 7: 1076}
+
+
+class TestOracleCounts:
+    @pytest.mark.parametrize("i", sorted(ORACLE_COUNTS_L10))
+    def test_common_classes_at_bound_10(self, i):
+        config = Config(oracle_bound=10)
+        res = check_clause4(i, config) if i else check_clause3(config)
+        assert res.passed and res.oracle_ok and res.bound == 10
+        assert res.oracle_common_classes == ORACLE_COUNTS_L10[i]
+
+
+class TestConjugacyPart:
+    """The per-generator fallback, reached when a component does not
+    immerse into the cyclic core of h0."""
+
+    H = build_core([W("e1"), W("e2")])
+
+    def test_per_generator_over_claim_caught_by_oracle(self):
+        h0 = build_core([W("e1"), W("E3 e2 e3")])
+        ok, reports, common, oracle_ok = _conjugacy_part(self.H, self.H, h0, 2)
+        # e1 and e2 are each conjugate into h0, but e1 e2 is not
+        assert [(r["method"], r["ok"]) for r in reports] == [("per-generator", True)]
+        assert not is_conjugate_into(W("e1 e2"), h0)
+        assert common == 12 and not oracle_ok and not ok
+
+    def test_per_generator_rejects(self):
+        h0 = build_core([W("e1"), W("e2 e1 E2")])
+        ok, reports, _, _ = _conjugacy_part(self.H, self.H, h0, 2)
+        assert [(r["method"], r["ok"]) for r in reports] == [("per-generator", False)]
+        assert not ok
 
 
 class TestVerifyAmple:

@@ -10,7 +10,6 @@ from ample.whitehead import (
     RankMismatchError,
     WhiteheadAut,
     apply,
-    cut_type_count,
     enumerate_whitehead_autos,
     is_basis,
     is_free_factor_tuple,
@@ -60,6 +59,11 @@ def word_tuples(draw):
         g = draw(words(max_rank=rank, max_len=3))
         tuple_.append(multiply(multiply(g, w), invert(g)))
     return rank, tuple_
+
+
+def cut_type_count(rank: int) -> int:
+    """Number of cut-type automorphisms after removing identities."""
+    return 2 * rank * ((1 << (2 * rank - 2)) - 1)
 
 
 class TestEnumeration:
