@@ -25,8 +25,12 @@ def main() -> int:
                         help="write report-n<k>.json files here")
     args = parser.parse_args()
 
-    config = Config.from_env(max_rank=args.max_rank,
-                             oracle_bound=args.oracle_bound)
+    try:
+        config = Config.from_env(max_rank=args.max_rank,
+                                 oracle_bound=args.oracle_bound)
+    except ValueError as exc:
+        print(f"run_verification: {exc}", file=sys.stderr)
+        return 2
     if args.out_dir:
         args.out_dir.mkdir(parents=True, exist_ok=True)
 

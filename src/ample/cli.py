@@ -12,7 +12,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import imaginaries, jsj, stallings, whitehead
-from .config import Config
+from .config import MAX_ORACLE_BOUND, Config
 from .verifier import ResourceLimitError, verify_ample
 from .words import (
     Word,
@@ -129,8 +129,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-ample", help="check the four ampleness clauses")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--oracle-bound", type=int, default=None,
-                   help="conjugacy cross-check length bound (default 8, "
-                        "env AMPLE_ORACLE_BOUND)")
+                   help="conjugacy cross-check length bound (default 8, at "
+                        f"most {MAX_ORACLE_BOUND}, env AMPLE_ORACLE_BOUND)")
     p.add_argument("--max-rank", type=int, default=None,
                    help="largest allowed Whitehead scan rank; clause 1 at n "
                         "needs rank 2n (default 24, env AMPLE_MAX_RANK)")

@@ -5,6 +5,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+# The oracle's path search recurses once per letter, so its bound must stay
+# well inside Python's default recursion limit of 1000.
+MAX_ORACLE_BOUND = 500
+
 
 @dataclass(frozen=True)
 class Config:
@@ -14,6 +18,8 @@ class Config:
     def __post_init__(self):
         if self.max_rank < 1 or self.oracle_bound < 1:
             raise ValueError("bounds must be >= 1")
+        if self.oracle_bound > MAX_ORACLE_BOUND:
+            raise ValueError(f"oracle bound must be <= {MAX_ORACLE_BOUND}")
 
     @staticmethod
     def from_env(**overrides) -> "Config":

@@ -158,7 +158,7 @@ def singleton_jsj(w: Word) -> GraphOfGroups:
 # acl extraction
 # ---------------------------------------------------------------------------
 
-def acl_from_catalog(g: GraphOfGroups, vertex_id: Optional[str] = None) -> SubgroupGraph:
+def acl_from_catalog(g: GraphOfGroups) -> SubgroupGraph:
     """The Stallings graph of the rigid vertex group containing the words the
     decomposition is relative to.
 
@@ -167,8 +167,6 @@ def acl_from_catalog(g: GraphOfGroups, vertex_id: Optional[str] = None) -> Subgr
     rests on rather than trusting them.
     """
     candidates = [v for v in g.vertices if v.kind == "rigid"]
-    if vertex_id is not None:
-        candidates = [v for v in candidates if v.id == vertex_id]
     for v in candidates:
         core = v.core()
         if all(contains(core, w) for w in g.relative_to):

@@ -17,6 +17,7 @@ from typing import Iterable, Optional, Sequence
 from .words import Word, CyclicWord, cyclic_reduce, letter_key
 
 Adj = dict[int, dict[int, int]]
+Rows = Sequence[dict[int, int]] | Adj   # adjacency rows of a tuple or a raw graph
 
 
 # ---------------------------------------------------------------------------
@@ -95,31 +96,21 @@ def _peel(adj: Adj, keep: Optional[int]) -> Adj:
     return adj
 
 
-def _component(adj: Adj, start: int) -> set[int]:
-    seen = {start}
+def _bfs(adj: Rows, start: int) -> dict[int, Optional[tuple[int, int]]]:
+    """Breadth-first search from ``start`` taking each vertex's arcs in letter
+    order; maps every reached vertex, in visiting order, to its tree arc
+    (parent, code), or to None for ``start`` itself."""
+    tree: dict[int, Optional[tuple[int, int]]] = {start: None}
     queue = deque([start])
     while queue:
-        v = queue.popleft()
-        for t in adj[v].values():
-            if t not in seen:
-                seen.add(t)
+        u = queue.popleft()
+        row = adj[u]
+        for code in sorted(row, key=letter_key):
+            t = row[code]
+            if t not in tree:
+                tree[t] = (u, code)
                 queue.append(t)
-    return seen
-
-
-def _bfs_order(adj: Adj, start: int) -> list[int]:
-    order = [start]
-    pos = {start: 0}
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
-        for code in sorted(adj[v], key=letter_key):
-            t = adj[v][code]
-            if t not in pos:
-                pos[t] = len(order)
-                order.append(t)
-    return order
+    return tree
 
 
 def _encoding(adj: Sequence[dict[int, int]]) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -158,10 +149,9 @@ class SubgroupGraph:
 
     @staticmethod
     def _from_raw(adj: Adj, base: int, ambient_rank: Optional[int]) -> "SubgroupGraph":
-        comp = _component(adj, base)
-        adj = {v: nbrs for v, nbrs in adj.items() if v in comp}
+        """Canonical form of a connected folded graph based at ``base``."""
         adj = _peel(adj, keep=base)
-        return SubgroupGraph(_renumber(adj, _bfs_order(adj, base)), ambient_rank)
+        return SubgroupGraph(_renumber(adj, list(_bfs(adj, base))), ambient_rank)
 
     @property
     def num_vertices(self) -> int:
@@ -200,7 +190,7 @@ class CyclicCore:
         if not adj:
             return CyclicCore(())
         # canonical start: the vertex whose BFS encoding is least
-        return CyclicCore(min((_renumber(adj, _bfs_order(adj, start)) for start in adj),
+        return CyclicCore(min((_renumber(adj, list(_bfs(adj, start))) for start in adj),
                               key=_encoding))
 
     @property
@@ -246,6 +236,27 @@ def _path_arcs(arcs: list[tuple[int, int, int]], codes: tuple[int, ...],
     return next_v
 
 
+def _product(adj1: Rows, adj2: Rows,
+             starts: Iterable[tuple[int, int]]) -> tuple[dict[tuple[int, int], int], Adj]:
+    """Fiber product of two folded graphs over the vertex pairs reachable from
+    ``starts``, each pair numbered in visiting order, ``starts`` first;
+    returns (pair -> number, adjacency over the numbers)."""
+    order = list(dict.fromkeys(starts))
+    ids = {pair: i for i, pair in enumerate(order)}
+    adj: Adj = {}
+    for vid, (v1, v2) in enumerate(order):   # order grows as pairs are reached
+        row2 = adj2[v2]
+        adj[vid] = row = {}
+        for code, t1 in adj1[v1].items():
+            if code in row2:
+                pair = (t1, row2[code])
+                if pair not in ids:
+                    ids[pair] = len(order)
+                    order.append(pair)
+                row[code] = ids[pair]
+    return ids, adj
+
+
 def build_core(generators: Sequence[Word], ambient_rank: Optional[int] = None) -> SubgroupGraph:
     """Folded based core graph of the subgroup generated by the given words."""
     arcs: list[tuple[int, int, int]] = []
@@ -282,77 +293,35 @@ def in_double_coset(h_gens: Sequence[Word], b1: Word, k_gens: Sequence[Word], b2
     for w in k_gens:
         next_v = _path_arcs(arcs, w.letters, t, t, next_v)
     uf, coset = _fold(next_v, arcs)
-    h = build_core(h_gens).adj
-    start, goal = (0, uf.find(s)), (0, uf.find(f))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u, v = pair = queue.popleft()
-        if pair == goal:
-            return True
-        row = coset[v]
-        for code, x in h[u].items():
-            y = row.get(code)
-            if y is not None and (x, y) not in seen:
-                seen.add((x, y))
-                queue.append((x, y))
-    return False
+    reached, _ = _product(build_core(h_gens).adj, coset, [(0, uf.find(s))])
+    return (0, uf.find(f)) in reached
 
 
 def rank(g: SubgroupGraph) -> int:
     return g.num_edges - g.num_vertices + 1
 
 
-def _spanning_tree(adj: Sequence[dict[int, int]]) -> tuple[dict[int, tuple[int, int]], list[tuple[int, int, int]]]:
-    """BFS tree (sorted-label order) from vertex 0.
-
-    Returns (parent arc per non-root vertex, list of non-tree arcs (u, code, v)
-    with one representative per undirected edge).
-    """
-    parent: dict[int, tuple[int, int]] = {}
-    seen = {0}
-    order = [0]
-    i = 0
-    while i < len(order):
-        u = order[i]
-        i += 1
-        for code in sorted(adj[u], key=letter_key):
-            t = adj[u][code]
-            if t not in seen:
-                seen.add(t)
-                parent[t] = (u, code)
-                order.append(t)
-    tree_arcs = {(u, code, t) for t, (u, code) in parent.items()}
-    non_tree = []
-    for u in range(len(adj)):
-        for code in sorted(adj[u], key=letter_key):
-            if code < 0:
-                continue
-            t = adj[u][code]
-            if (u, code, t) in tree_arcs or (t, -code, u) in tree_arcs:
-                continue
-            non_tree.append((u, code, t))
-    return parent, non_tree
-
-
-def _path_word(parent: dict[int, tuple[int, int]], v: int) -> list[int]:
+def _path_word(tree: dict[int, Optional[tuple[int, int]]], v: int) -> list[int]:
+    """Label of the tree path from the root of ``tree`` to v."""
     codes: list[int] = []
-    while v != 0:
-        u, code = parent[v]
+    while tree[v] is not None:
+        v, code = tree[v]
         codes.append(code)
-        v = u
     codes.reverse()
     return codes
 
 
 def basis(g: SubgroupGraph) -> list[Word]:
-    """A free basis, one word per non-tree edge of a BFS spanning tree."""
-    parent, non_tree = _spanning_tree(g.adj)
+    """A free basis, one word per non-tree edge of the BFS spanning tree from
+    the basepoint, in order of (source vertex, positive label)."""
+    tree = _bfs(g.adj, 0)
     words = []
-    for u, code, t in non_tree:
-        p_u = _path_word(parent, u)
-        p_t = _path_word(parent, t)
-        words.append(Word(p_u + [code] + [-c for c in reversed(p_t)]))
+    for u, row in enumerate(g.adj):
+        for code in sorted(c for c in row if c > 0):
+            t = row[code]
+            if tree[t] != (u, code) and tree[u] != (t, -code):
+                words.append(Word(_path_word(tree, u) + [code]
+                                  + [-c for c in reversed(_path_word(tree, t))]))
     return words
 
 
@@ -363,27 +332,7 @@ def equals(g1: SubgroupGraph, g2: SubgroupGraph) -> bool:
 
 def intersect(g1: SubgroupGraph, g2: SubgroupGraph) -> SubgroupGraph:
     """Based fiber product restricted to the component of the basepoints."""
-    pair_ids: dict[tuple[int, int], int] = {(0, 0): 0}
-    adj: Adj = {0: {}}
-    queue = deque([(0, 0)])
-    while queue:
-        v1, v2 = queue.popleft()
-        vid = pair_ids[(v1, v2)]
-        row1, row2 = g1.adj[v1], g2.adj[v2]
-        keys = row1 if len(row1) <= len(row2) else row2
-        for code in keys:
-            t1 = row1.get(code)
-            t2 = row2.get(code)
-            if t1 is None or t2 is None:
-                continue
-            pair = (t1, t2)
-            tid = pair_ids.get(pair)
-            if tid is None:
-                tid = len(pair_ids)
-                pair_ids[pair] = tid
-                adj[tid] = {}
-                queue.append(pair)
-            adj[vid][code] = tid
+    _, adj = _product(g1.adj, g2.adj, [(0, 0)])
     ambient = g1.ambient_rank if g1.ambient_rank == g2.ambient_rank else None
     return SubgroupGraph._from_raw(adj, 0, ambient)
 
@@ -420,16 +369,12 @@ def is_conjugate_into(w: Word, g: SubgroupGraph) -> bool:
 
 
 def _cyclic_product(c1: CyclicCore, c2: CyclicCore) -> Adj:
-    """Peeled fiber product of two cyclic cores over all vertex pairs, the
-    pair (v1, v2) numbered v1 * |c2| + v2.  A cyclically reduced word reads
-    a closed path in it iff it reads one in each core."""
-    n2 = c2.num_vertices
-    adj: Adj = {}
-    for v1, row1 in enumerate(c1.adj):
-        for v2, row2 in enumerate(c2.adj):
-            adj[v1 * n2 + v2] = {code: t1 * n2 + row2[code]
-                                 for code, t1 in row1.items() if code in row2}
-    return _peel(adj, keep=None)
+    """Peeled fiber product of two cyclic cores over all vertex pairs: the
+    product walk starts from every pair in row-major order, so the pair
+    (v1, v2) is numbered v1 * |c2| + v2.  A cyclically reduced word reads a
+    closed path in it iff it reads one in each core."""
+    pairs = [(v1, v2) for v1 in range(c1.num_vertices) for v2 in range(c2.num_vertices)]
+    return _peel(_product(c1.adj, c2.adj, pairs)[1], keep=None)
 
 
 def conjugacy_intersection(g1: SubgroupGraph, g2: SubgroupGraph) -> list[ComponentWitness]:
@@ -443,11 +388,9 @@ def conjugacy_intersection(g1: SubgroupGraph, g2: SubgroupGraph) -> list[Compone
     witnesses = []
     remaining = set(adj)
     while remaining:
-        start = min(remaining)
-        comp = _component(adj, start)
-        remaining -= comp
-        comp_adj = {v: adj[v] for v in comp}
-        core = CyclicCore._from_raw(comp_adj)
+        comp = _bfs(adj, min(remaining))
+        remaining -= comp.keys()
+        core = CyclicCore._from_raw({v: adj[v] for v in comp})
         if not core:
             continue
         graph = SubgroupGraph(core.adj)

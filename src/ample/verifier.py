@@ -11,21 +11,22 @@ Stallings graphs) and a conjugacy part (fiber product of cyclic cores),
 which is how the equality is decided without ever modelling imaginary
 sorts directly.
 
-Conjugacy parts record the verification method per component
-(component-immersion is a single-conjugator certificate; per-generator is
-exact for generators only) plus a bounded-length enumeration cross-check
-whose bound L is always recorded: one walk over the product of the two
-cyclic cores lists the classes of length <= L they share, and each must
-read a closed path in the cyclic core of the expected meet h0.  Reports state
-what was checked, they do not claim unconditional proof of the
-conjugacy-closure equality.
+Conjugacy parts record per component whether it immerses into the cyclic
+core of the expected meet h0 (a single-conjugator certificate; a component
+that does not immerse fails the clause, and in clause 3, whose h0 is
+trivial, every component does) plus a bounded-length enumeration
+cross-check whose bound L is always recorded: one walk over the product of
+the two cyclic cores lists the classes of length <= L they share, and each
+must read a closed path in the cyclic core of h0.  Reports state what was
+checked, they do not claim unconditional proof of the conjugacy-closure
+equality.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .config import Config
 from .jsj import acl_from_catalog, singleton_jsj, witness_jsj_left, witness_jsj_right
@@ -132,7 +133,7 @@ class AclResult:
     oracle_ok: bool
     bound: int
     millis: float
-    extra: dict = field(default_factory=dict)
+    extra: dict
 
     def to_clause(self) -> dict:
         evidence = {
@@ -287,50 +288,45 @@ def check_clause2(i: int) -> FactorizationResult:
 def _conjugacy_part(h1: SubgroupGraph, h2: SubgroupGraph, h0: SubgroupGraph,
                     bound: int) -> tuple[bool, tuple[dict, ...], int, bool]:
     """Check that every conjugacy class meeting both h1 and h2 is conjugate
-    into h0; returns (ok, per-component reports, common-class count at the
-    bound, oracle ok)."""
-    components = conjugacy_intersection(h1, h2)
+    into h0: each component of the conjugacy fiber product must immerse into
+    the cyclic core of h0; returns (ok, per-component reports, common-class
+    count at the bound, oracle ok)."""
     h0_core = cyclic_core(h0)
-    reports = []
-    all_ok = True
-    for idx, comp in enumerate(components):
-        comp_core = cyclic_core(comp.graph)
-        if immerses_into(comp_core, h0_core):
-            reports.append({"component": idx, "method": "component-immersion",
-                            "ok": True,
-                            "witness": format_word(comp.witness)})
-            continue
-        gens_ok = all(is_conjugate_into(b, h0) for b in basis(comp.graph))
-        reports.append({"component": idx, "method": "per-generator",
-                        "ok": gens_ok, "witness": format_word(comp.witness)})
-        all_ok = all_ok and gens_ok
+    reports = tuple({"component": idx, "method": "component-immersion",
+                     "ok": immerses_into(cyclic_core(comp.graph), h0_core),
+                     "witness": format_word(comp.witness)}
+                    for idx, comp in enumerate(conjugacy_intersection(h1, h2)))
+    all_ok = all(r["ok"] for r in reports)
     common = enumerate_cyclic_classes(cyclic_core(h1), bound, cyclic_core(h2))
     oracle_ok = all(reads_closed_path(h0_core, cw.letters) for cw in common)
-    return all_ok and oracle_ok, tuple(reports), len(common), oracle_ok
+    return all_ok and oracle_ok, reports, len(common), oracle_ok
+
+
+def _check_acl(clause_id: str, h1: SubgroupGraph, h2: SubgroupGraph, h0: SubgroupGraph,
+               config: Config, start: float, extra: dict[str, bool]) -> AclResult:
+    """An acl^eq equality, timed from ``start``: h1 and h2 intersect in h0
+    (real part), every conjugacy class meeting both is conjugate into h0
+    (conjugacy part), and every check in ``extra`` holds."""
+    real_ok = equals(intersect(h1, h2), h0)
+    conj_ok, reports, common_count, oracle_ok = _conjugacy_part(
+        h1, h2, h0, config.oracle_bound)
+    millis = (time.perf_counter() - start) * 1000
+    return AclResult(passed=real_ok and conj_ok and all(extra.values()),
+                     clause_id=clause_id, real_ok=real_ok,
+                     conjugacy_ok=conj_ok, component_reports=reports,
+                     oracle_common_classes=common_count, oracle_ok=oracle_ok,
+                     bound=config.oracle_bound, millis=millis, extra=extra)
 
 
 def check_clause3(config: Config = Config()) -> AclResult:
     """acl^eq(a0) and acl^eq(a1) meet trivially: the Stallings intersection
     of <a0> and <a1> is trivial and the two cyclic cores share no conjugacy
-    class (empty fiber product, confirmed by the bounded oracle)."""
+    class (the trivial group's cyclic core is empty, so any component of the
+    fiber product or class found by the bounded oracle fails the clause)."""
     start = time.perf_counter()
     g1 = acl_from_catalog(singleton_jsj(witness(0)))
     g2 = acl_from_catalog(singleton_jsj(witness(1)))
-    trivial = build_core([])
-    real_ok = equals(intersect(g1, g2), trivial)
-    components = conjugacy_intersection(g1, g2)
-    common = enumerate_cyclic_classes(cyclic_core(g1), config.oracle_bound,
-                                      cyclic_core(g2))
-    conj_ok = not components
-    oracle_ok = not common
-    millis = (time.perf_counter() - start) * 1000
-    return AclResult(passed=real_ok and conj_ok and oracle_ok,
-                     clause_id="clause3", real_ok=real_ok, conjugacy_ok=conj_ok,
-                     component_reports=tuple(
-                         {"component": i, "method": "unexpected", "ok": False}
-                         for i, _ in enumerate(components)),
-                     oracle_common_classes=len(common), oracle_ok=oracle_ok,
-                     bound=config.oracle_bound, millis=millis)
+    return _check_acl("clause3", g1, g2, build_core([]), config, start, {})
 
 
 def check_clause4(i: int, config: Config = Config()) -> AclResult:
@@ -343,19 +339,10 @@ def check_clause4(i: int, config: Config = Config()) -> AclResult:
     h1 = acl_from_catalog(witness_jsj_left(i))
     h2 = acl_from_catalog(witness_jsj_right(i))
     h0 = build_core([witness(j) for j in range(i)])
-    real_ok = equals(intersect(h1, h2), h0)
-    conj_ok, reports, common_count, oracle_ok = _conjugacy_part(
-        h1, h2, h0, config.oracle_bound)
-    h0_basis = basis(h0)
     trivial_inclusion = all(
-        is_conjugate_into(b, h1) and is_conjugate_into(b, h2) for b in h0_basis)
-    millis = (time.perf_counter() - start) * 1000
-    return AclResult(passed=real_ok and conj_ok and trivial_inclusion,
-                     clause_id=f"clause4.i{i}", real_ok=real_ok,
-                     conjugacy_ok=conj_ok, component_reports=reports,
-                     oracle_common_classes=common_count, oracle_ok=oracle_ok,
-                     bound=config.oracle_bound, millis=millis,
-                     extra={"h0_basis_conjugate_into_both": trivial_inclusion})
+        is_conjugate_into(b, h1) and is_conjugate_into(b, h2) for b in basis(h0))
+    return _check_acl(f"clause4.i{i}", h1, h2, h0, config, start,
+                      {"h0_basis_conjugate_into_both": trivial_inclusion})
 
 
 def verify_ample(n: int, config: Config = Config()) -> VerificationReport:

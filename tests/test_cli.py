@@ -1,6 +1,11 @@
 import gc
+import hashlib
 import json
+import re
+import runpy
+import sys
 import time
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -13,6 +18,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_usage_error(code: int, out: str, err: str, prefix: str = "ample: ") -> None:
+    assert code == 2 and out == ""
+    assert err.startswith(prefix) and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def scrub_millis(payload: dict) -> dict:
@@ -236,3 +247,48 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["verify-ample"])
         assert exc.value.code == 2
+
+    def test_oracle_bound_above_cap_flag(self, capsys):
+        assert_usage_error(*run(capsys, "verify-ample", "--n", "2",
+                                "--oracle-bound", "990"))
+
+    def test_oracle_bound_above_cap_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("AMPLE_ORACLE_BOUND", "990")
+        assert_usage_error(*run(capsys, "verify-ample", "--n", "2"))
+
+    # sha256 of the `verify-ample --n N --json` output with every millis
+    # value blanked; a change to the report must update these digests
+    REPORT_DIGESTS = {
+        1: "d12bbbea9b628cdbc34381838b7726918e598c66aff0e4327bc29616109fe8a1",
+        2: "ce1f3a74ab222df8e6b940d1962de15c6c19e487299d12d26a005113c002d80b",
+        3: "f7bc04a1c16f144c5eb2dae73f579c232e490a4d40b24b6a01f005136f4ee9ed",
+        4: "6f4589eb9974f22fd71727a2765fbe9df105f554b9f61d9e75b0a1276376c3e0",
+    }
+
+    @pytest.mark.parametrize("n", sorted(REPORT_DIGESTS))
+    def test_report_bytes_pinned(self, capsys, monkeypatch, n):
+        monkeypatch.delenv("AMPLE_MAX_RANK", raising=False)
+        monkeypatch.delenv("AMPLE_ORACLE_BOUND", raising=False)
+        code, out, _ = run(capsys, "verify-ample", "--n", str(n), "--json")
+        blanked = re.sub(r'"millis": [^,\n]+', '"millis": 0', out)
+        assert code == 0
+        assert hashlib.sha256(blanked.encode()).hexdigest() == self.REPORT_DIGESTS[n]
+
+
+class TestRunVerificationScript:
+    SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_verification.py"
+
+    def run_script(self, capsys, monkeypatch, *argv):
+        monkeypatch.setattr(sys, "argv", [str(self.SCRIPT), *argv])
+        code = runpy.run_path(str(self.SCRIPT), run_name="run_verification")["main"]()
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_passes_n2(self, capsys, monkeypatch):
+        code, out, _ = self.run_script(capsys, monkeypatch, "--max-n", "2")
+        assert code == 0 and "n=2: pass" in out
+
+    @pytest.mark.parametrize("bound", ["0", "990"])
+    def test_bad_oracle_bound_usage_error(self, capsys, monkeypatch, bound):
+        assert_usage_error(*self.run_script(capsys, monkeypatch, "--oracle-bound", bound),
+                           prefix="run_verification: ")

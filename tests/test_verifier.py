@@ -3,11 +3,13 @@ import json
 import jsonschema
 import pytest
 
-from ample.config import Config
+from ample.config import MAX_ORACLE_BOUND, Config
 from ample.sequence import commutator_chain, witness
 from ample.stallings import (
     build_core,
     conjugacy_intersection,
+    cyclic_core,
+    enumerate_cyclic_classes,
     equals,
     intersect,
     is_conjugate_into,
@@ -136,24 +138,42 @@ class TestOracleCounts:
 
 
 class TestConjugacyPart:
-    """The per-generator fallback, reached when a component does not
-    immerse into the cyclic core of h0."""
+    """A component that does not immerse into the cyclic core of h0 fails
+    the conjugacy part, whatever the oracle sees at its bound."""
 
     H = build_core([W("e1"), W("e2")])
+    OVER_CLAIM_H0 = build_core([W("e1"), W("E3 e2 e3")])
 
     def test_per_generator_over_claim_caught_by_oracle(self):
-        h0 = build_core([W("e1"), W("E3 e2 e3")])
+        h0 = self.OVER_CLAIM_H0
         ok, reports, common, oracle_ok = _conjugacy_part(self.H, self.H, h0, 2)
-        # e1 and e2 are each conjugate into h0, but e1 e2 is not
-        assert [(r["method"], r["ok"]) for r in reports] == [("per-generator", True)]
+        # e1 and e2 are each conjugate into h0, but e1 e2 is not, so a check
+        # of the basis alone over-claims; the component does not immerse
+        assert [(r["method"], r["ok"]) for r in reports] == [("component-immersion", False)]
         assert not is_conjugate_into(W("e1 e2"), h0)
         assert common == 12 and not oracle_ok and not ok
 
     def test_per_generator_rejects(self):
         h0 = build_core([W("e1"), W("e2 e1 E2")])
         ok, reports, _, _ = _conjugacy_part(self.H, self.H, h0, 2)
-        assert [(r["method"], r["ok"]) for r in reports] == [("per-generator", False)]
+        assert [(r["method"], r["ok"]) for r in reports] == [("component-immersion", False)]
         assert not ok
+
+    def test_over_claim_fails_below_oracle_reach(self):
+        # at L = 1 every common class (e1, e2 and their inverses) is
+        # conjugate into h0, so only the component verdict can fail it
+        ok, reports, common, oracle_ok = _conjugacy_part(
+            self.H, self.H, self.OVER_CLAIM_H0, 1)
+        assert common == 4 and oracle_ok
+        assert [(r["method"], r["ok"]) for r in reports] == [("component-immersion", False)]
+        assert not ok
+
+    def test_trivial_h0_fails_every_shared_class(self):
+        # clause 3's meet: the trivial group has an empty cyclic core
+        g = build_core([W("e1")])
+        ok, reports, common, oracle_ok = _conjugacy_part(g, g, build_core([]), 3)
+        assert [(r["method"], r["ok"]) for r in reports] == [("component-immersion", False)]
+        assert common == 6 and not oracle_ok and not ok
 
 
 class TestVerifyAmple:
@@ -198,6 +218,15 @@ class TestVerifyAmple:
         report = verify_ample(2, Config(oracle_bound=6))
         clause4 = [c for c in report.clause_dicts() if c["id"] == "clause4.i1"]
         assert clause4[0]["bound"] == 6
+
+    def test_oracle_bound_cap(self):
+        Config(oracle_bound=MAX_ORACLE_BOUND)
+        with pytest.raises(ValueError):
+            Config(oracle_bound=MAX_ORACLE_BOUND + 1)
+        # the oracle's path search, one call per letter, reaches the cap
+        # inside the recursion limit: e1^k for k = L/2 and L, and inverses
+        cycle = cyclic_core(build_core([Word((1,) * (MAX_ORACLE_BOUND // 2))]))
+        assert len(enumerate_cyclic_classes(cycle, MAX_ORACLE_BOUND)) == 4
 
     def test_text_and_json_agree(self):
         report = verify_ample(2)
