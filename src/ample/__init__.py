@@ -24,7 +24,6 @@ from .jsj import (
 from .sequence import commutator_chain, witness
 from .stallings import (
     ComponentWitness,
-    CyclicCore,
     SubgroupGraph,
     basis,
     build_core,
@@ -39,7 +38,6 @@ from .stallings import (
 from .verifier import (
     ResourceLimitError,
     VerificationReport,
-    WitnessSequence,
     check_clause1,
     check_clause2,
     check_clause3,

@@ -6,6 +6,11 @@ A subgroup graph is stored as a tuple of per-vertex adjacency dicts:
 is always present.  Graphs are folded, connected, canonically numbered by a
 BFS from the basepoint (vertex 0) with labels visited in sorted order, so
 two graphs represent the same subgroup iff their adjacency tuples are equal.
+
+A cyclic core is a :class:`SubgroupGraph` too: every vertex has degree >= 2,
+and it is based at the vertex whose BFS numbering encodes least, so two
+nontrivial subgroups are conjugate iff their cyclic cores' tuples are equal.
+The trivial group's cyclic core is the one-vertex graph ``({},)``.
 """
 
 from __future__ import annotations
@@ -132,26 +137,28 @@ def _renumber(adj: Adj, order: list[int]) -> tuple[dict[int, int], ...]:
 # ---------------------------------------------------------------------------
 
 class SubgroupGraph:
-    """Folded based core graph; basepoint is vertex 0; canonical numbering."""
+    """Folded based core graph; basepoint is vertex 0; canonical numbering.
 
-    __slots__ = ("adj", "ambient_rank", "_core")
+    Cyclic cores are instances too (based at their canonical start, their
+    own ``_core``); false iff vertex 0 has no arc, i.e. the trivial group.
+    """
+
+    __slots__ = ("adj", "_core")
 
     adj: tuple[dict[int, int], ...]
-    ambient_rank: Optional[int]
 
-    def __init__(self, adj: tuple[dict[int, int], ...], ambient_rank: Optional[int] = None):
+    def __init__(self, adj: tuple[dict[int, int], ...]):
         object.__setattr__(self, "adj", adj)
-        object.__setattr__(self, "ambient_rank", ambient_rank)
         object.__setattr__(self, "_core", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SubgroupGraph is immutable")
 
     @staticmethod
-    def _from_raw(adj: Adj, base: int, ambient_rank: Optional[int]) -> "SubgroupGraph":
+    def _from_raw(adj: Adj, base: int) -> "SubgroupGraph":
         """Canonical form of a connected folded graph based at ``base``."""
         adj = _peel(adj, keep=base)
-        return SubgroupGraph(_renumber(adj, list(_bfs(adj, base))), ambient_rank)
+        return SubgroupGraph(_renumber(adj, list(_bfs(adj, base))))
 
     @property
     def num_vertices(self) -> int:
@@ -167,47 +174,11 @@ class SubgroupGraph:
     def __hash__(self) -> int:
         return hash(_encoding(self.adj))
 
+    def __bool__(self) -> bool:
+        return bool(self.adj[0])
+
     def __repr__(self) -> str:
         return f"SubgroupGraph(vertices={self.num_vertices}, rank={rank(self)})"
-
-
-class CyclicCore:
-    """Folded graph with no basepoint and all degrees >= 2; may be empty."""
-
-    __slots__ = ("adj",)
-
-    adj: tuple[dict[int, int], ...]
-
-    def __init__(self, adj: tuple[dict[int, int], ...]):
-        object.__setattr__(self, "adj", adj)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CyclicCore is immutable")
-
-    @staticmethod
-    def _from_raw(adj: Adj) -> "CyclicCore":
-        adj = _peel(adj, keep=None)
-        if not adj:
-            return CyclicCore(())
-        # canonical start: the vertex whose BFS encoding is least
-        return CyclicCore(min((_renumber(adj, list(_bfs(adj, start))) for start in adj),
-                              key=_encoding))
-
-    @property
-    def num_vertices(self) -> int:
-        return len(self.adj)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CyclicCore) and self.adj == other.adj
-
-    def __hash__(self) -> int:
-        return hash(_encoding(self.adj))
-
-    def __bool__(self) -> bool:
-        return bool(self.adj)
-
-    def __repr__(self) -> str:
-        return f"CyclicCore(vertices={self.num_vertices})"
 
 
 @dataclass(frozen=True)
@@ -257,14 +228,14 @@ def _product(adj1: Rows, adj2: Rows,
     return ids, adj
 
 
-def build_core(generators: Sequence[Word], ambient_rank: Optional[int] = None) -> SubgroupGraph:
+def build_core(generators: Sequence[Word]) -> SubgroupGraph:
     """Folded based core graph of the subgroup generated by the given words."""
     arcs: list[tuple[int, int, int]] = []
     next_v = 1
     for w in generators:
         next_v = _path_arcs(arcs, w.letters, 0, 0, next_v)
     uf, adj = _fold(next_v, arcs)
-    return SubgroupGraph._from_raw(adj, uf.find(0), ambient_rank)
+    return SubgroupGraph._from_raw(adj, uf.find(0))
 
 
 def contains(g: SubgroupGraph, w: Word) -> bool:
@@ -333,22 +304,30 @@ def equals(g1: SubgroupGraph, g2: SubgroupGraph) -> bool:
 def intersect(g1: SubgroupGraph, g2: SubgroupGraph) -> SubgroupGraph:
     """Based fiber product restricted to the component of the basepoints."""
     _, adj = _product(g1.adj, g2.adj, [(0, 0)])
-    ambient = g1.ambient_rank if g1.ambient_rank == g2.ambient_rank else None
-    return SubgroupGraph._from_raw(adj, 0, ambient)
+    return SubgroupGraph._from_raw(adj, 0)
 
 
-def cyclic_core(g: SubgroupGraph) -> CyclicCore:
+def _cyclic_graph(adj: Adj) -> SubgroupGraph:
+    """Cyclic core of a connected folded graph: every degree<=1 vertex
+    peeled, then numbered from the start whose numbering encodes least (the
+    one-vertex graph if nothing is left); the result is its own core."""
+    adj = _peel(adj, keep=None)
+    core = SubgroupGraph(min((_renumber(adj, list(_bfs(adj, start))) for start in adj),
+                             key=_encoding, default=({},)))
+    object.__setattr__(core, "_core", core)
+    return core
+
+
+def cyclic_core(g: SubgroupGraph) -> SubgroupGraph:
     """Strip all degree<=1 vertices, basepoint included (built once per g)."""
     if g._core is None:
-        object.__setattr__(g, "_core", CyclicCore._from_raw(dict(enumerate(g.adj))))
+        object.__setattr__(g, "_core", _cyclic_graph(dict(enumerate(g.adj))))
     return g._core
 
 
-def reads_closed_path(core: CyclicCore, codes: Sequence[int]) -> bool:
+def reads_closed_path(core: SubgroupGraph, codes: Sequence[int]) -> bool:
     """True iff ``codes`` reads a closed path from some vertex of ``core``
-    (the empty word reads one everywhere, even in the empty core)."""
-    if not codes:
-        return True
+    (the empty word reads one at every vertex)."""
     adj = core.adj
     for start in range(len(adj)):
         v = start
@@ -368,7 +347,7 @@ def is_conjugate_into(w: Word, g: SubgroupGraph) -> bool:
     return reads_closed_path(cyclic_core(g), cyclic_reduce(w)[0].letters)
 
 
-def _cyclic_product(c1: CyclicCore, c2: CyclicCore) -> Adj:
+def _cyclic_product(c1: SubgroupGraph, c2: SubgroupGraph) -> Adj:
     """Peeled fiber product of two cyclic cores over all vertex pairs: the
     product walk starts from every pair in row-major order, so the pair
     (v1, v2) is numbered v1 * |c2| + v2.  A cyclically reduced word reads a
@@ -390,48 +369,25 @@ def conjugacy_intersection(g1: SubgroupGraph, g2: SubgroupGraph) -> list[Compone
     while remaining:
         comp = _bfs(adj, min(remaining))
         remaining -= comp.keys()
-        core = CyclicCore._from_raw({v: adj[v] for v in comp})
-        if not core:
-            continue
-        graph = SubgroupGraph(core.adj)
-        words = basis(graph)
-        assert words, "cycle-bearing component must have rank >= 1"
-        witnesses.append(ComponentWitness(graph=graph, witness=words[0]))
+        graph = _cyclic_graph({v: adj[v] for v in comp})
+        witnesses.append(ComponentWitness(graph=graph, witness=basis(graph)[0]))
     witnesses.sort(key=lambda cw: _encoding(cw.graph.adj))
     return witnesses
 
 
-def immerses_into(src: CyclicCore, dst: CyclicCore) -> bool:
+def immerses_into(src: SubgroupGraph, dst: SubgroupGraph) -> bool:
     """True iff a label-preserving graph morphism src -> dst exists.
 
-    Both graphs are folded, so the morphism is determined by the image of one
-    vertex; a successful morphism conjugates every loop of src into dst at
-    once (single-conjugator sufficient condition per component).
+    Both graphs are folded and src is connected, so the morphism is fixed by
+    the image t of vertex 0: it exists iff the product walk from (0, t)
+    pairs each vertex of src with one vertex of dst and keeps all its arcs.
+    A morphism conjugates every loop of src into dst at once
+    (single-conjugator sufficient condition per component).
     """
-    if not src:
-        return True
-    if not dst:
-        return False
-    for target_start in range(dst.num_vertices):
-        mapping = {0: target_start}
-        queue = deque([0])
-        ok = True
-        while queue and ok:
-            u = queue.popleft()
-            v = mapping[u]
-            for code, t in src.adj[u].items():
-                img = dst.adj[v].get(code)
-                if img is None:
-                    ok = False
-                    break
-                if t in mapping:
-                    if mapping[t] != img:
-                        ok = False
-                        break
-                else:
-                    mapping[t] = img
-                    queue.append(t)
-        if ok:
+    for t in range(dst.num_vertices):
+        ids, adj = _product(src.adj, dst.adj, [(0, t)])
+        if len(ids) == src.num_vertices and all(
+                len(adj[i]) == len(src.adj[v]) for (v, _), i in ids.items()):
             return True
     return False
 
@@ -441,11 +397,6 @@ def immerses_into(src: CyclicCore, dst: CyclicCore) -> bool:
 # ---------------------------------------------------------------------------
 
 Arcs = list[list[tuple[int, int, int]]]
-
-
-def _rank(code: int) -> int:
-    """Integer form of ``letter_key``: e1 -> 1, E1 -> 2, e2 -> 3, ..."""
-    return 2 * code - 1 if code > 0 else -2 * code
 
 
 def _distances(arcs: Arcs, start: int) -> list[int]:
@@ -480,8 +431,8 @@ def _extend(arcs: Arcs, dist: list[int], max_len: int, found: set[tuple[int, ...
         path.pop()
 
 
-def enumerate_cyclic_classes(core: CyclicCore, max_len: int,
-                             other: Optional[CyclicCore] = None) -> set[CyclicWord]:
+def enumerate_cyclic_classes(core: SubgroupGraph, max_len: int,
+                             other: Optional[SubgroupGraph] = None) -> set[CyclicWord]:
     """All nontrivial conjugacy classes of cyclically reduced length <= max_len
     whose class meets the subgroups carried by ``core`` (i.e. cyclic words
     readable as closed paths in the core), up to rotation.
@@ -491,7 +442,7 @@ def enumerate_cyclic_classes(core: CyclicCore, max_len: int,
     """
     adj = dict(enumerate(core.adj)) if other is None else _cyclic_product(core, other)
     index = {v: i for i, v in enumerate(adj)}
-    arcs = [sorted((_rank(code), code, index[t]) for code, t in row.items())
+    arcs = [sorted((letter_key(code), code, index[t]) for code, t in row.items())
             for row in adj.values()]
     found: set[tuple[int, ...]] = set()
     for start in range(len(arcs)):

@@ -58,20 +58,6 @@ class ResourceLimitError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class WitnessSequence:
-    """The first n+1 witness words; words[i] has 4i+1 letters."""
-
-    n: int
-    words: tuple[Word, ...]
-
-    @staticmethod
-    def build(n: int) -> "WitnessSequence":
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        return WitnessSequence(n=n, words=tuple(witness(i) for i in range(n + 1)))
-
-
-@dataclass(frozen=True)
 class ForksResult:
     passed: bool
     n: int
@@ -268,15 +254,14 @@ def check_clause2(i: int) -> FactorizationResult:
     if i < 1:
         raise ValueError("i must be >= 1")
     start = time.perf_counter()
-    ambient = 2 * i + 3
     a_i = witness(i)
     middle_letters = [Word((k,)) for k in range(2, 2 * i + 2)]
     tail_letters = [Word((2 * i + 2,)), Word((2 * i + 3,))]
     tuple_words = tuple(middle_letters + [a_i] + tail_letters)
-    basis_ok = is_basis(tuple_words, ambient)
-    left = build_core(middle_letters + [a_i], ambient_rank=ambient)
+    basis_ok = is_basis(tuple_words, 2 * i + 3)
+    left = build_core(middle_letters + [a_i])
     lower = tuple(contains(left, witness(j)) for j in range(i))
-    right = build_core([a_i] + tail_letters, ambient_rank=ambient)
+    right = build_core([a_i] + tail_letters)
     upper = contains(right, witness(i + 1))
     millis = (time.perf_counter() - start) * 1000
     return FactorizationResult(passed=basis_ok and all(lower) and upper,
@@ -293,7 +278,7 @@ def _conjugacy_part(h1: SubgroupGraph, h2: SubgroupGraph, h0: SubgroupGraph,
     count at the bound, oracle ok)."""
     h0_core = cyclic_core(h0)
     reports = tuple({"component": idx, "method": "component-immersion",
-                     "ok": immerses_into(cyclic_core(comp.graph), h0_core),
+                     "ok": immerses_into(comp.graph, h0_core),
                      "witness": format_word(comp.witness)}
                     for idx, comp in enumerate(conjugacy_intersection(h1, h2)))
     all_ok = all(r["ok"] for r in reports)
@@ -321,8 +306,9 @@ def _check_acl(clause_id: str, h1: SubgroupGraph, h2: SubgroupGraph, h0: Subgrou
 def check_clause3(config: Config = Config()) -> AclResult:
     """acl^eq(a0) and acl^eq(a1) meet trivially: the Stallings intersection
     of <a0> and <a1> is trivial and the two cyclic cores share no conjugacy
-    class (the trivial group's cyclic core is empty, so any component of the
-    fiber product or class found by the bounded oracle fails the clause)."""
+    class (the trivial group's cyclic core is the one-vertex graph with no
+    arc, so any component of the fiber product or class found by the
+    bounded oracle fails the clause)."""
     start = time.perf_counter()
     g1 = acl_from_catalog(singleton_jsj(witness(0)))
     g2 = acl_from_catalog(singleton_jsj(witness(1)))

@@ -345,7 +345,7 @@ def is_basis(words: Sequence[Word], rank: int) -> bool:
     """
     if len(words) != rank:
         return False
-    core = build_core(words, ambient_rank=rank)
+    core = build_core(words)
     if core.num_vertices != 1:
         return False
     loops = {abs(code) for code in core.adj[0]}

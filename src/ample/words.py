@@ -20,9 +20,10 @@ class GeneratorIndexError(WordSyntaxError):
     """Generator index outside the allowed range (indices start at 1)."""
 
 
-def letter_key(code: int) -> tuple[int, int]:
-    """Sort key realising the order e1 < E1 < e2 < E2 < ..."""
-    return (abs(code), 0 if code > 0 else 1)
+def letter_key(code: int) -> int:
+    """Integer rank realising the order e1 < E1 < e2 < E2 < ...:
+    e1 -> 1, E1 -> 2, e2 -> 3, ..."""
+    return 2 * code - 1 if code > 0 else -2 * code
 
 
 def _reduce(codes: Iterable[int]) -> tuple[int, ...]:
@@ -268,37 +269,29 @@ def format_word(u: Word) -> str:
 # Cyclic words and conjugacy
 # ---------------------------------------------------------------------------
 
-def is_rotation(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    """Rotation equality by doubling-and-substring search."""
-    if len(a) != len(b):
-        return False
-    if not a:
-        return True
-    doubled = b + b
-    n = len(a)
-    for start in range(n):
-        if doubled[start:start + n] == a:
-            return True
-    return False
-
-
 def least_rotation(codes: tuple[int, ...]) -> tuple[int, ...]:
-    """Lexicographically least rotation under e1 < E1 < e2 < E2 < ..."""
-    if not codes:
-        return codes
+    """Lexicographically least rotation under e1 < E1 < e2 < E2 < ...
+
+    Two-pointer scan in O(n): i is the least start so far and j the next
+    start not ruled out.  When the rotations at i and j agree on k letters
+    and then differ, the k + 1 starts from the one with the larger letter
+    on are each beaten by the start as far past the other, so all are ruled
+    out and the pointer moves past them (j taking i's place if i lost).
+    """
     keyed = [letter_key(c) for c in codes]
     n = len(codes)
-    best = 0
-    for start in range(1, n):
-        for off in range(n):
-            ka = keyed[(best + off) % n]
-            kb = keyed[(start + off) % n]
-            if kb < ka:
-                best = start
-                break
-            if kb > ka:
-                break
-    return codes[best:] + codes[:best]
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = keyed[(i + k) % n], keyed[(j + k) % n]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i, j = j, max(j, i + k) + 1
+        else:
+            j += k + 1
+        k = 0
+    return codes[i:] + codes[:i]
 
 
 class CyclicWord:
@@ -358,9 +351,7 @@ def cyclic_reduce(u: Word) -> tuple[CyclicWord, Word]:
 
 def is_conjugate(u: Word, v: Word) -> bool:
     """True iff the cyclic reductions are rotations of each other."""
-    cu, _ = cyclic_reduce(u)
-    cv, _ = cyclic_reduce(v)
-    return is_rotation(cu.letters, cv.letters)
+    return cyclic_reduce(u)[0] == cyclic_reduce(v)[0]
 
 
 def primitive_root(u: Word) -> tuple[Word, int]:

@@ -1,7 +1,8 @@
 import random
+from collections import deque
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ample.sequence import witness
 from ample.stallings import (
@@ -54,6 +55,50 @@ def brute_force_cyclic_classes(core, max_len):
                     classes.add(CyclicWord(new))
         frontier = nxt
     return classes
+
+
+def bfs_immerses_into(src, dst):
+    """Reference for ``immerses_into``: try each image of vertex 0 and extend
+    the morphism along src's arcs by BFS, failing at the first arc dst
+    lacks or the first vertex sent to two places."""
+    for target_start in range(dst.num_vertices):
+        mapping = {0: target_start}
+        queue = deque([0])
+        ok = True
+        while queue and ok:
+            u = queue.popleft()
+            v = mapping[u]
+            for code, t in src.adj[u].items():
+                img = dst.adj[v].get(code)
+                if img is None:
+                    ok = False
+                    break
+                if t in mapping:
+                    if mapping[t] != img:
+                        ok = False
+                        break
+                else:
+                    mapping[t] = img
+                    queue.append(t)
+        if ok:
+            return True
+    return False
+
+
+@st.composite
+def immersion_pairs(draw):
+    """(src generators, dst generators) over rank 1-3, 0-3 generators each
+    (so either core may be trivial); half the time src is generated by
+    products of dst's generators, so that src often immerses."""
+    rank_ = draw(st.integers(min_value=1, max_value=3))
+    dst = draw(st.lists(words(rank_, 5), max_size=3))
+    if dst and draw(st.booleans()):
+        factor = st.tuples(st.sampled_from(dst), st.booleans()).map(
+            lambda fb: invert(fb[0]) if fb[1] else fb[0])
+        products = st.lists(factor, min_size=1, max_size=3).map(
+            lambda fs: Word([c for f in fs for c in f.letters]))
+        return draw(st.lists(products, max_size=3)), dst
+    return draw(st.lists(words(rank_, 5), max_size=3)), dst
 
 
 def random_subgroup(rng, rank_=2, max_gens=3, max_len=5):
@@ -246,6 +291,53 @@ class TestCyclicCore:
             assert cyclic_core(fresh) == core
         with pytest.raises(AttributeError):
             g._core = None
+
+    def test_core_is_its_own_core(self, rng):
+        trivial = cyclic_core(build_core([]))
+        assert trivial.adj == ({},) and cyclic_core(trivial) is trivial
+        for _ in range(20):
+            _, g = random_subgroup(rng, rng.choice((2, 3)))
+            core = cyclic_core(g)
+            assert cyclic_core(core) is core
+            assert bool(core) == (rank(g) > 0)
+        for comp in conjugacy_intersection(build_core([W("e1"), W("e2 e2")]),
+                                           build_core([W("e1"), W("e2")])):
+            assert cyclic_core(comp.graph) is comp.graph
+
+
+class TestImmersion:
+    def test_examples(self):
+        circle = cyclic_core(build_core([W("e1")]))
+        trivial = cyclic_core(build_core([]))
+        assert immerses_into(cyclic_core(build_core([W("e1 e1")])), circle)
+        assert not immerses_into(circle, cyclic_core(build_core([W("e1 e1")])))
+        assert not immerses_into(cyclic_core(build_core([W("e1"), W("e2")])), circle)
+        assert immerses_into(trivial, circle) and immerses_into(trivial, trivial)
+        assert not immerses_into(circle, trivial)
+
+    @given(pair=immersion_pairs())
+    @example(pair=([W("e1")], [W("e1 e1")]))          # one vertex would go to two
+    @example(pair=([W("e1"), W("e2")], [W("e1")]))    # an arc dst lacks
+    @settings(max_examples=200, deadline=None)
+    def test_matches_bfs_on_cyclic_cores(self, pair):
+        src, dst = (cyclic_core(build_core(gens)) for gens in pair)
+        assert immerses_into(src, dst) == bfs_immerses_into(src, dst)
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_bfs_on_components(self, data):
+        # h1 and h2 share h0's generators, so components often immerse into
+        # the cyclic core of h0; each always immerses into both factors
+        rank_ = data.draw(st.integers(min_value=1, max_value=3))
+        shared = data.draw(st.lists(words(rank_, 5), max_size=2))
+        h1, h2 = (build_core(shared + data.draw(st.lists(words(rank_, 5), max_size=2)))
+                  for _ in range(2))
+        h0_core = cyclic_core(build_core(shared))
+        for comp in conjugacy_intersection(h1, h2):
+            assert (immerses_into(comp.graph, h0_core)
+                    == bfs_immerses_into(comp.graph, h0_core))
+            assert immerses_into(comp.graph, cyclic_core(h1))
+            assert immerses_into(comp.graph, cyclic_core(h2))
 
 
 class TestConjugacy:

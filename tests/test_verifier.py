@@ -17,7 +17,6 @@ from ample.stallings import (
 from ample.verifier import (
     REPORT_SCHEMA,
     ResourceLimitError,
-    WitnessSequence,
     _conjugacy_part,
     check_clause1,
     check_clause2,
@@ -45,11 +44,6 @@ class TestWitnessSequence:
     def test_successive_quotients_are_commutators(self, i):
         diff = multiply(invert(witness(i)), witness(i + 1))
         assert diff == commutator(Word((2 * i + 2,)), Word((2 * i + 3,)))
-
-    def test_build(self):
-        seq = WitnessSequence.build(3)
-        assert seq.n == 3 and len(seq.words) == 4
-        assert seq.words[0] == W("e1")
 
     def test_chain_is_quotient(self):
         for n in (1, 2, 3):

@@ -14,7 +14,8 @@ from ample.words import (
     format_word,
     invert,
     is_conjugate,
-    is_rotation,
+    least_rotation,
+    letter_key,
     multiply,
     parse_word,
     power,
@@ -152,8 +153,32 @@ class TestCyclic:
     def test_rotation_equality(self):
         assert CyclicWord((1, 2)) == CyclicWord((2, 1))
         assert CyclicWord((1, 2)) != CyclicWord((1, -2))
-        assert is_rotation((1, 2, 3), (3, 1, 2))
-        assert not is_rotation((1, 2), (1, 2, 1))
+        assert CyclicWord((1, 2, 3)) == CyclicWord((3, 1, 2))
+        assert CyclicWord((1, 2)) != CyclicWord((1, 2, 1))
+
+    def test_letter_key_order(self):
+        assert [letter_key(c) for c in (1, -1, 2, -2, 3)] == [1, 2, 3, 4, 5]
+
+    @staticmethod
+    def _least_by_min(codes):
+        return min((codes[i:] + codes[:i] for i in range(len(codes))),
+                   key=lambda r: [letter_key(c) for c in r], default=())
+
+    def test_least_rotation_examples(self):
+        assert least_rotation(()) == ()
+        assert least_rotation((2, -1, 1)) == (1, 2, -1)
+        assert least_rotation((1,) * 7) == (1,) * 7
+        assert least_rotation((2, 1, 2, 1, 2, 1)) == (1, 2, 1, 2, 1, 2)
+        # E1 sorts after e1 although its code is smaller
+        assert least_rotation((-1, 1, 2)) == (1, 2, -1)
+
+    @given(base=st.lists(st.sampled_from((1, -1, 2, -2)), max_size=6),
+           repeats=st.integers(min_value=1, max_value=5))
+    @settings(max_examples=300)
+    def test_least_rotation_matches_min(self, base, repeats):
+        # a repeated base gives periodic words, where rotations tie
+        codes = tuple(base * repeats)
+        assert least_rotation(codes) == self._least_by_min(codes)
 
     def test_is_conjugate_examples(self):
         assert is_conjugate(W("e1 e2"), W("e2 e1"))
