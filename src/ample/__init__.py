@@ -3,7 +3,6 @@ sequence built from primitive elements."""
 
 from .config import Config
 from .imaginaries import (
-    CosetQuery,
     e1_conjugation,
     e2_left_coset,
     e3_right_coset,
@@ -14,7 +13,6 @@ from .jsj import (
     GraphOfGroups,
     VertexGroup,
     acl_from_catalog,
-    aclc_member_from_catalog,
     example_jsj,
     singleton_jsj,
     validate,

@@ -33,6 +33,9 @@ SIDE_CONDITION_NOTE = ("side conditions are strict: trivial b-components "
                        "(E2/E3) or a/c-components (E4) make the relation "
                        "fail, identical tuples included.")
 
+# Words per side of each relation: E2/E3 compare pairs (a, b), E4 triples (a, b, c).
+ARITY = {"e1": 1, "e2": 2, "e3": 2, "e4": 3}
+
 
 def _parse_words_arg(text: str) -> list[Word]:
     text = text.strip()
@@ -109,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "basic-sort", help="basic equivalence relations E1-E4",
         epilog=E4_NOTE + " " + SIDE_CONDITION_NOTE)
-    p.add_argument("--relation", choices=["e1", "e2", "e3", "e4"], required=True)
+    p.add_argument("--relation", choices=list(ARITY), required=True)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("words", nargs="+",
@@ -177,17 +180,19 @@ def _run_subgroup(args) -> int:
 
 
 def _run_basic_sort(args) -> int:
-    relation = args.relation.upper()
-    arity = imaginaries.CosetQuery.ARITY[relation]
+    arity = ARITY[args.relation]
     if len(args.words) != 2 * arity:
         raise ValueError(f"{args.relation} needs {2 * arity} words, "
                          f"got {len(args.words)}")
     words = [parse_word(t) for t in args.words]
-    query = imaginaries.CosetQuery(relation=relation,
-                                   modulus_m=args.m, modulus_n=args.n,
-                                   left=tuple(words[:arity]),
-                                   right=tuple(words[arity:]))
-    return _bool_exit(query.evaluate())
+    left, right = tuple(words[:arity]), tuple(words[arity:])
+    if args.relation == "e1":
+        return _bool_exit(imaginaries.e1_conjugation(words[0], words[1]))
+    if args.relation == "e2":
+        return _bool_exit(imaginaries.e2_left_coset(args.m, left, right))
+    if args.relation == "e3":
+        return _bool_exit(imaginaries.e3_right_coset(args.m, left, right))
+    return _bool_exit(imaginaries.e4_double_coset(args.m, args.n, left, right))
 
 
 def _run_jsj(args) -> int:

@@ -8,51 +8,22 @@ double-coset relation carries an inert index m: its defining condition only
 uses n, so m never affects the verdict (kept as a parameter and documented).
 
 Every verdict is an exact decision on the Stallings folding engine, with no
-length or exponent bound: E2 and E3 test membership in the folded core of
-<root**m>, and E4 decides b2 in <a**n> b1 <c**n> with
-:func:`ample.stallings.in_double_coset`.
+search bound on lengths or exponents: E2 and E3 test membership in the
+folded core of <root**m>, and E4 decides b2 in <a**n> b1 <c**n> with
+:func:`ample.stallings.in_double_coset`.  A root power longer than
+``words.MAX_WORD_LETTERS`` letters raises ``ValueError`` before it is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .stallings import build_core, contains, in_double_coset
-from .words import Word, canonical_root, invert, is_conjugate, multiply, power
+from .words import (MAX_WORD_LETTERS, Word, canonical_root, invert, is_conjugate,
+                    multiply, power)
 
 Pair = tuple[Word, Word]
 Triple = tuple[Word, Word, Word]
-
-
-@dataclass(frozen=True)
-class CosetQuery:
-    """One basic-sort membership question, as posed on the command line."""
-
-    relation: str  # "E1" | "E2" | "E3" | "E4"
-    modulus_m: int
-    modulus_n: int
-    left: tuple[Word, ...]
-    right: tuple[Word, ...]
-
-    ARITY = {"E1": 1, "E2": 2, "E3": 2, "E4": 3}
-
-    def __post_init__(self):
-        arity = self.ARITY.get(self.relation)
-        if arity is None:
-            raise ValueError(f"unknown relation {self.relation!r}")
-        if len(self.left) != arity or len(self.right) != arity:
-            raise ValueError(f"{self.relation} compares tuples of arity {arity}")
-
-    def evaluate(self) -> bool:
-        if self.relation == "E1":
-            return e1_conjugation(self.left[0], self.right[0])
-        if self.relation == "E2":
-            return e2_left_coset(self.modulus_m, self.left, self.right)
-        if self.relation == "E3":
-            return e3_right_coset(self.modulus_m, self.left, self.right)
-        return e4_double_coset(self.modulus_m, self.modulus_n,
-                               self.left, self.right)
 
 
 def e1_conjugation(a: Word, b: Word) -> bool:
@@ -79,6 +50,15 @@ def _check_moduli(**moduli: int) -> None:
             raise ValueError(f"modulus {name} must be >= 1, got {value}")
 
 
+def _root_power(root: Word, exponent: int, name: str) -> Word:
+    """root**exponent, refused before it is built when it would exceed
+    MAX_WORD_LETTERS letters (the parser's cap, counted before reduction)."""
+    if len(root) * exponent > MAX_WORD_LETTERS:
+        raise ValueError(f"modulus {name} = {exponent} asks for a root power of "
+                         f"more than {MAX_WORD_LETTERS} letters")
+    return power(root, exponent)
+
+
 def e2_left_coset(m: int, pair1: Pair, pair2: Pair) -> bool:
     """m-left-coset relation on pairs (a, b): requires b1, b2 nontrivial
     with a common centralizer generator b, and a1^-1 a2 in <b**m>."""
@@ -87,7 +67,7 @@ def e2_left_coset(m: int, pair1: Pair, pair2: Pair) -> bool:
     root = _common_root(b1, b2)
     if root is None:
         return False
-    return contains(build_core([power(root, m)]), multiply(invert(a1), a2))
+    return contains(build_core([_root_power(root, m, "m")]), multiply(invert(a1), a2))
 
 
 def e3_right_coset(m: int, pair1: Pair, pair2: Pair) -> bool:
@@ -97,7 +77,7 @@ def e3_right_coset(m: int, pair1: Pair, pair2: Pair) -> bool:
     root = _common_root(b1, b2)
     if root is None:
         return False
-    return contains(build_core([power(root, m)]), multiply(a1, invert(a2)))
+    return contains(build_core([_root_power(root, m, "m")]), multiply(a1, invert(a2)))
 
 
 # No decider uses this bound any more; it stays only because the benchmark
@@ -121,4 +101,5 @@ def e4_double_coset(m: int, n: int, triple1: Triple, triple2: Triple) -> bool:
     root_c = _common_root(c1, c2)
     if root_a is None or root_c is None:
         return False
-    return in_double_coset([power(root_a, n)], b1, [power(root_c, n)], b2)
+    return in_double_coset([_root_power(root_a, n, "n")], b1,
+                           [_root_power(root_c, n, "n")], b2)

@@ -1,12 +1,13 @@
 """Catalog of explicit graphs of groups: cyclic splittings with rigid and
 surface-type vertices, plus extraction of algebraic-closure data from them.
 
-The catalog entries are constructed programmatically and can be serialized
-to a flat text format (one record per vertex / edge) so that new
-decompositions can be added without code changes.  The splitting property
-itself is catalog data: ``validate`` checks the necessary structural
-conditions (connectivity, Euler bookkeeping, containments, surface rank
-formula, root closure) but does not derive the decomposition.
+The catalog entries are constructed programmatically, so a new
+decomposition needs a new constructor.  ``serialize`` (a flat text format,
+one record per vertex / edge) and ``to_dot`` are output formats only:
+nothing parses them back.  The splitting property itself is catalog data:
+``validate`` checks the necessary structural conditions (connectivity, Euler
+bookkeeping, containments, surface rank formula, root closure) but does not
+derive the decomposition.
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from . import stallings
 from .sequence import commutator_chain, witness
 from .stallings import SubgroupGraph, build_core, contains, rank
-from .words import Word, commutator, format_word, multiply, parse_word, primitive_root
+from .words import Word, commutator, format_word, primitive_root, relabel
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,6 @@ class VertexGroup:
             raise ValueError(f"unknown vertex kind {self.kind!r}")
         if self.kind == "surface" and self.surface is None:
             raise ValueError("surface vertex needs genus/boundary data")
-
-    def core(self) -> SubgroupGraph:
-        return build_core(self.generators)
 
 
 @dataclass(frozen=True)
@@ -83,9 +80,7 @@ def example_jsj(n: int) -> GraphOfGroups:
     boundary component) amalgamated to a cyclic rigid vertex over that word."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    product = Word()
-    for j in range(1, n + 1):
-        product = multiply(product, commutator(Word((2 * j - 1,)), Word((2 * j,))))
+    product = relabel(commutator_chain(n), -1)
     surface_gens = tuple(Word((k,)) for k in range(1, 2 * n + 1))
     vertices = (
         VertexGroup(id="r0", kind="rigid", generators=(product,)),
@@ -97,6 +92,20 @@ def example_jsj(n: int) -> GraphOfGroups:
                          relative_to=(product,))
 
 
+def _rigid_with_tori(rigid_gens: tuple[Word, ...],
+                     tori: int) -> tuple[list[VertexGroup], list[EdgeGroup]]:
+    """A rigid vertex r0 on ``rigid_gens`` and once-punctured-torus vertices
+    s1..s<tori>, s_j on <e(2j), e(2j+1)> glued to r0 over [e(2j), e(2j+1)]."""
+    vertices = [VertexGroup(id="r0", kind="rigid", generators=rigid_gens)]
+    edges = []
+    for j in range(1, tori + 1):
+        x, y = Word((2 * j,)), Word((2 * j + 1,))
+        vertices.append(VertexGroup(id=f"s{j}", kind="surface", generators=(x, y),
+                                    surface=SurfaceData(genus=1, boundary_components=1)))
+        edges.append(EdgeGroup(endpoints=("r0", f"s{j}"), generator=commutator(x, y)))
+    return vertices, edges
+
+
 def witness_jsj_left(i: int) -> GraphOfGroups:
     """Splitting of the rank-(2i+1) free group relative to <a0,...,ai>:
     a rigid vertex on the witness words with i once-punctured-torus vertices
@@ -104,15 +113,7 @@ def witness_jsj_left(i: int) -> GraphOfGroups:
     if i < 1:
         raise ValueError("i must be >= 1")
     rigid_gens = tuple(witness(j) for j in range(i + 1))
-    vertices = [VertexGroup(id="r0", kind="rigid", generators=rigid_gens)]
-    edges = []
-    for j in range(1, i + 1):
-        gens = (Word((2 * j,)), Word((2 * j + 1,)))
-        vid = f"s{j}"
-        vertices.append(VertexGroup(id=vid, kind="surface", generators=gens,
-                                    surface=SurfaceData(genus=1, boundary_components=1)))
-        edges.append(EdgeGroup(endpoints=("r0", vid),
-                               generator=commutator(Word((2 * j,)), Word((2 * j + 1,)))))
+    vertices, edges = _rigid_with_tori(rigid_gens, i)
     return GraphOfGroups(ambient_rank=2 * i + 1, vertices=tuple(vertices),
                          edges=tuple(edges), relative_to=rigid_gens)
 
@@ -125,21 +126,12 @@ def witness_jsj_right(i: int) -> GraphOfGroups:
     if i < 1:
         raise ValueError("i must be >= 1")
     rigid_gens = tuple(witness(j) for j in range(i)) + (witness(i + 1),)
-    vertices = [VertexGroup(id="r0", kind="rigid", generators=rigid_gens)]
-    edges = []
-    for j in range(1, i):
-        gens = (Word((2 * j,)), Word((2 * j + 1,)))
-        vid = f"s{j}"
-        vertices.append(VertexGroup(id=vid, kind="surface", generators=gens,
-                                    surface=SurfaceData(genus=1, boundary_components=1)))
-        edges.append(EdgeGroup(endpoints=("r0", vid),
-                               generator=commutator(Word((2 * j,)), Word((2 * j + 1,)))))
+    vertices, edges = _rigid_with_tori(rigid_gens, i - 1)
     big_gens = tuple(Word((k,)) for k in range(2 * i, 2 * i + 4))
-    big_word = multiply(commutator(Word((2 * i,)), Word((2 * i + 1,))),
-                        commutator(Word((2 * i + 2,)), Word((2 * i + 3,))))
     vertices.append(VertexGroup(id=f"s{i}", kind="surface", generators=big_gens,
                                 surface=SurfaceData(genus=2, boundary_components=1)))
-    edges.append(EdgeGroup(endpoints=("r0", f"s{i}"), generator=big_word))
+    edges.append(EdgeGroup(endpoints=("r0", f"s{i}"),
+                           generator=relabel(commutator_chain(2), 2 * i - 2)))
     return GraphOfGroups(ambient_rank=2 * i + 3, vertices=tuple(vertices),
                          edges=tuple(edges), relative_to=rigid_gens)
 
@@ -168,35 +160,10 @@ def acl_from_catalog(g: GraphOfGroups) -> SubgroupGraph:
     """
     candidates = [v for v in g.vertices if v.kind == "rigid"]
     for v in candidates:
-        core = v.core()
+        core = build_core(v.generators)
         if all(contains(core, w) for w in g.relative_to):
             return core
     raise ValueError("no rigid vertex group contains the relative words")
-
-
-def aclc_member_from_catalog(g: GraphOfGroups, w: Word) -> bool:
-    """True iff the conjugacy class of w lies in the conjugacy part of the
-    algebraic closure read off the decomposition: w conjugate into the rigid
-    vertex group, or into a boundary subgroup of a surface vertex.
-
-    Every catalog boundary subgroup is conjugate into the rigid vertex, so
-    the second disjunct is redundant; the redundancy is asserted, not assumed.
-    """
-    if not w:
-        raise ValueError("needs a nontrivial word")
-    rigid = acl_from_catalog(g)
-    in_rigid = stallings.is_conjugate_into(w, rigid)
-    in_boundary = False
-    for edge in g.edges:
-        if any(g.vertex(vid).kind == "surface" for vid in edge.endpoints):
-            boundary = build_core((edge.generator,))
-            if not stallings.is_conjugate_into(edge.generator, rigid):
-                raise RuntimeError(
-                    f"boundary subgroup <{format_word(edge.generator)}> is not "
-                    "conjugate into the rigid vertex; catalog assumption broken")
-            if stallings.is_conjugate_into(w, boundary):
-                in_boundary = True
-    return in_rigid or in_boundary
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +192,8 @@ def validate(g: GraphOfGroups) -> list[CheckResult]:
     results.append(CheckResult("connected", seen == set(ids),
                                f"{len(seen)}/{len(ids)} vertices reachable"))
 
-    vertex_ranks = {v.id: rank(v.core()) for v in g.vertices}
-    euler = sum(vertex_ranks.values()) - len(g.edges)
+    cores = {v.id: build_core(v.generators) for v in g.vertices}
+    euler = sum(rank(core) for core in cores.values()) - len(g.edges)
     results.append(CheckResult(
         "euler", euler == g.ambient_rank,
         f"sum of vertex ranks - edges = {euler}, ambient = {g.ambient_rank}"))
@@ -235,8 +202,7 @@ def validate(g: GraphOfGroups) -> list[CheckResult]:
     details = []
     for e in g.edges:
         for vid in e.endpoints:
-            core = g.vertex(vid).core()
-            if not contains(core, e.generator):
+            if not contains(cores[vid], e.generator):
                 ok = False
                 details.append(f"{format_word(e.generator)} not in vertex {vid}")
     results.append(CheckResult("edge-containment", ok, "; ".join(details)))
@@ -247,13 +213,13 @@ def validate(g: GraphOfGroups) -> list[CheckResult]:
         if v.kind != "surface":
             continue
         want = 2 * v.surface.genus + v.surface.boundary_components - 1
-        got = rank(v.core())
+        got = rank(cores[v.id])
         if got != want:
             ok = False
             details.append(f"vertex {v.id}: rank {got} != {want}")
     results.append(CheckResult("surface-rank", ok, "; ".join(details)))
 
-    rigid_cores = [v.core() for v in g.vertices if v.kind == "rigid"]
+    rigid_cores = [cores[v.id] for v in g.vertices if v.kind == "rigid"]
     ok = all(any(contains(core, w) for core in rigid_cores) for w in g.relative_to)
     results.append(CheckResult("relative-elliptic", ok))
 
@@ -306,61 +272,6 @@ def serialize(g: GraphOfGroups) -> str:
         lines.append(f"edge {e.endpoints[0]} {e.endpoints[1]} gen: "
                      f"{format_word(e.generator)}")
     return "\n".join(lines) + "\n"
-
-
-def _parse_words(text: str) -> tuple[Word, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(parse_word(part) for part in text.split(";"))
-
-
-def parse_graph(text: str) -> GraphOfGroups:
-    ambient = None
-    standard = True
-    relative: tuple[Word, ...] = ()
-    vertices = []
-    edges = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        head, _, rest = line.partition(" ")
-        if head == "graph":
-            parts = rest.split()
-            for p in parts:
-                if p.startswith("ambient="):
-                    ambient = int(p.removeprefix("ambient="))
-                elif p == "subgroup":
-                    standard = False
-        elif head == "relative:":
-            relative = _parse_words(rest)
-        elif head == "vertex":
-            vid, spec = rest.split(None, 1)
-            kind, _, tail = spec.partition(" ")
-            surface = None
-            if kind == "surface":
-                attrs = {}
-                while not tail.startswith("gens:"):
-                    item, _, tail = tail.partition(" ")
-                    key, _, val = item.partition("=")
-                    attrs[key] = int(val)
-                surface = SurfaceData(genus=attrs["genus"],
-                                      boundary_components=attrs["boundary"])
-            gens = _parse_words(tail.partition("gens:")[2])
-            vertices.append(VertexGroup(id=vid, kind=kind, generators=gens,
-                                        surface=surface))
-        elif head == "edge":
-            v1, v2, tail = rest.split(None, 2)
-            gen = parse_word(tail.partition("gen:")[2])
-            edges.append(EdgeGroup(endpoints=(v1, v2), generator=gen))
-        else:
-            raise ValueError(f"unrecognized record {line!r}")
-    if ambient is None:
-        raise ValueError("missing 'graph ambient=<rank>' record")
-    return GraphOfGroups(ambient_rank=ambient, vertices=tuple(vertices),
-                         edges=tuple(edges), relative_to=relative,
-                         standard_basis_ambient=standard)
 
 
 def to_dot(g: GraphOfGroups) -> str:

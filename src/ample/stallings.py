@@ -140,7 +140,7 @@ class SubgroupGraph:
     """Folded based core graph; basepoint is vertex 0; canonical numbering.
 
     Cyclic cores are instances too (based at their canonical start, their
-    own ``_core``); false iff vertex 0 has no arc, i.e. the trivial group.
+    own cyclic core); false iff vertex 0 has no arc, i.e. the trivial group.
     """
 
     __slots__ = ("adj", "_core")
@@ -307,6 +307,11 @@ def intersect(g1: SubgroupGraph, g2: SubgroupGraph) -> SubgroupGraph:
     return SubgroupGraph._from_raw(adj, 0)
 
 
+# The ``_core`` of a graph that is its own cyclic core: a sentinel, not the
+# graph itself, so that a dropped core is not a reference cycle.
+_IS_CORE = object()
+
+
 def _cyclic_graph(adj: Adj) -> SubgroupGraph:
     """Cyclic core of a connected folded graph: every degree<=1 vertex
     peeled, then numbered from the start whose numbering encodes least (the
@@ -314,7 +319,7 @@ def _cyclic_graph(adj: Adj) -> SubgroupGraph:
     adj = _peel(adj, keep=None)
     core = SubgroupGraph(min((_renumber(adj, list(_bfs(adj, start))) for start in adj),
                              key=_encoding, default=({},)))
-    object.__setattr__(core, "_core", core)
+    object.__setattr__(core, "_core", _IS_CORE)
     return core
 
 
@@ -322,7 +327,7 @@ def cyclic_core(g: SubgroupGraph) -> SubgroupGraph:
     """Strip all degree<=1 vertices, basepoint included (built once per g)."""
     if g._core is None:
         object.__setattr__(g, "_core", _cyclic_graph(dict(enumerate(g.adj))))
-    return g._core
+    return g if g._core is _IS_CORE else g._core
 
 
 def reads_closed_path(core: SubgroupGraph, codes: Sequence[int]) -> bool:

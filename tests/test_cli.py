@@ -148,6 +148,26 @@ class TestBasicSortCommand:
                            "e1", "e2", "e1", "e1", "e1 e2 e1", "e1")
         assert code == 1 and out.strip() == "false"
 
+    @pytest.mark.parametrize("argv,verdict", [
+        (("--relation", "e1", "e1 e2", "e2 e1"), True),
+        (("--relation", "e1", "e1", "e2"), False),
+        (("--relation", "e2", "--m", "2", "e2", "e1", "e2 e1", "e1"), False),
+        (("--relation", "e3", "--m", "3", "(e1)^3 e2", "e1", "e2", "e1"), True),
+        (("--relation", "e3", "e1 e2", "e2", "e2", "e2"), False),
+        (("--relation", "e4", "e1", "e2", "e1", "e1", "e1 e2 e1", "e1"), True),
+    ], ids=["e1-true", "e1-false", "e2-false", "e3-true", "e3-false", "e4-true"])
+    def test_relation_verdicts(self, capsys, argv, verdict):
+        code, out, _ = run(capsys, "basic-sort", *argv)
+        assert (code, out) == ((0, "true\n") if verdict else (1, "false\n"))
+
+    @pytest.mark.parametrize("argv", [
+        ("--relation", "e2", "--m", "1000000000", "e1", "e1", "e1", "e1"),
+        ("--relation", "e3", "--m", "1000000000", "e1", "e1", "e1", "e1"),
+        ("--relation", "e4", "--n", "1000000000", "e1", "e2", "e1", "e1", "e2", "e1"),
+    ])
+    def test_power_past_cap_usage_error(self, capsys, argv):
+        assert_usage_error(*run(capsys, "basic-sort", *argv))
+
     @pytest.mark.parametrize("argv", [
         ("--relation", "e2", "--m", "0", "e1", "e2", "e1", "e2"),
         ("--relation", "e3", "--m", "-1", "e1", "e2", "e1", "e2"),
@@ -190,6 +210,48 @@ class TestJsjCommand:
                            "--validate")
         assert code == 0
         assert "check generation: pass" in out
+
+
+    # sha256 of `jsj show ENTRY --index I` stdout in each mode; nothing
+    # parses the printed formats back, so their bytes are pinned
+    SHOW_DIGESTS = {
+        ("example", 1, "text"): "2f0c4e4b54ffd15c1978d0d6d014bcdeacb253c721b06b679b25564d50bfe80d",
+        ("example", 1, "dot"): "bb5afba12785878e1fb3c197527f19a91e63d014e75cb07cdb9efc972396ffef",
+        ("example", 1, "validate"): "e6acb728d578378ffc1fcdc127d8a331cd2d1dee477d4394ae79ed8b490ca50a",
+        ("example", 2, "text"): "ee59be69dfa51060b47d77310e8ecd5ad1368fb2f3c96099e7f6a0ba527dacbc",
+        ("example", 2, "dot"): "1cc4453dfdfa6ce4bc841774e67d10aa3b05c2152bf40d854c31ce9abbc2382c",
+        ("example", 2, "validate"): "eb1293f6c73907e1e15a0986636f728158ccb30841f3674949bae20b6aa0a209",
+        ("example", 3, "text"): "3026a6db564c309700dd7bef25d183105b8bf2911d07078551a02b66b575ff14",
+        ("example", 3, "dot"): "d1299e211a1d07b3a80039675b64501c2813e52827e4daf1aa143a310632edef",
+        ("example", 3, "validate"): "4e84f4402d660b98d596e46908a7726effbb53ad6c15de0e6db6f96e99356818",
+        ("left", 1, "text"): "40205ecb3f9d2b1cb53df46498b99c5a4927a10cd679b13f344f6fda578a2eb9",
+        ("left", 1, "dot"): "ac3b95d2df1ce33aa728f42077f87fb87b8e7cf661abee7a50c52652369e1d38",
+        ("left", 1, "validate"): "244f24e5c2d827a6fef2d3ec6728977e0cd2d5ce663c63c5ee3450b8dd22ecb0",
+        ("left", 2, "text"): "1da5e3a6ef6ddecb3c97dc11beff1e3f1b985a9ad58a22603a6e839118d771e0",
+        ("left", 2, "dot"): "57e90dde65c7f4642fa1c9972c88a36f8ecb6521c98ed74734d2c9c36a280966",
+        ("left", 2, "validate"): "486dd8b8443350269560404702ed2f4b95d868a9e1dec21091c05b80fdb0c0ae",
+        ("left", 3, "text"): "b203d761d31bfdd95d2756732b04059968da909f551c47a296b65b24e998733e",
+        ("left", 3, "dot"): "bab83f9b3867f08981cc7161a006972d0545a79c2b7ba8e2ee8c0573273e0332",
+        ("left", 3, "validate"): "608e6c517eda0fabf5d698daee01fc17b9fa4abdcac577871f7b1e059391d0a8",
+        ("right", 1, "text"): "88c006e455dcf4b490aac6f01018754128eb7fffbb692921ac34d40d2f591b3a",
+        ("right", 1, "dot"): "7391e44d1d500021bc89269fe9f6b4baa08f396f12ea1f105724caf81fa6a896",
+        ("right", 1, "validate"): "6d0823448b40fa2541d10d8c51876c71422492e919459be36dcb039b589b1f1d",
+        ("right", 2, "text"): "9f6083291974cfd66d5421223f8257d0815103f23bfa8ea1f1514e02f9a1fea8",
+        ("right", 2, "dot"): "7642e04293db4702250e43c9ea996fc9856e3779ab24b2b55cacc803a1d1f359",
+        ("right", 2, "validate"): "09a0b4439e9ffc127ce50d35e288bf793a569e456fc7677c3417456edc1d9789",
+        ("right", 3, "text"): "d53ba8a01101f63342dd8d4d1fe8c2b50f65c5383ed1c602af3cd8427efc87c5",
+        ("right", 3, "dot"): "0164295536fd2c89951d378c47a9da8c236e14c5638018f293146f197657e730",
+        ("right", 3, "validate"): "24899329755fab3f2a72328cb1b6b070b772b70338a5b0513e3ea2bfcb2379f2",
+    }
+    MODE_FLAGS = {"text": ("--format", "text"), "dot": ("--format", "dot"),
+                  "validate": ("--validate",)}
+
+    @pytest.mark.parametrize("entry,index,mode", sorted(SHOW_DIGESTS))
+    def test_show_bytes_pinned(self, capsys, entry, index, mode):
+        code, out, _ = run(capsys, "jsj", "show", entry, "--index", str(index),
+                           *self.MODE_FLAGS[mode])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.SHOW_DIGESTS[entry, index, mode]
 
 
 class TestVerifyCommand:

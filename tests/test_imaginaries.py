@@ -3,14 +3,13 @@ import random
 import pytest
 
 from ample.imaginaries import (
-    CosetQuery,
     e1_conjugation,
     e2_left_coset,
     e3_right_coset,
     e4_double_coset,
     e4_exponent_bound,
 )
-from ample.words import Word, invert, multiply, parse_word, power
+from ample.words import MAX_WORD_LETTERS, Word, invert, multiply, parse_word, power
 
 from conftest import random_reduced_word
 from relation_suites import (
@@ -159,6 +158,27 @@ class TestE4:
                     prev = length
 
 
+class TestPowerCap:
+    """Root powers are capped at MAX_WORD_LETTERS letters, like parsed words."""
+
+    PAIR = (W("e1"), W("e1"))
+    TRIPLE = (W("e1"), W("e2"), W("e1"))
+
+    @pytest.mark.parametrize("decide,args", [
+        (e2_left_coset, (MAX_WORD_LETTERS + 1, PAIR, PAIR)),
+        (e3_right_coset, (MAX_WORD_LETTERS + 1, PAIR, PAIR)),
+        (e2_left_coset, (MAX_WORD_LETTERS // 2 + 1, (W("e1"), W("e1 e2")),
+                         (W("e1"), W("e1 e2")))),
+        (e4_double_coset, (1, MAX_WORD_LETTERS + 1, TRIPLE, TRIPLE)),
+    ], ids=["e2", "e3", "e2-root-2", "e4"])
+    def test_past_cap_raises(self, decide, args):
+        with pytest.raises(ValueError, match="more than 100000 letters"):
+            decide(*args)
+
+    def test_at_cap_decided(self):
+        assert e2_left_coset(MAX_WORD_LETTERS, self.PAIR, self.PAIR)
+
+
 class TestCosetOracles:
     """e2/e3 against brute-force enumeration of powers of b**m."""
 
@@ -194,23 +214,6 @@ class TestCosetOracles:
             assert e2_left_coset(m, pair1, pair2) == (d_left in powers)
             d_right = multiply(pair1[0], invert(pair2[0]))
             assert e3_right_coset(m, pair1, pair2) == (d_right in powers)
-
-
-class TestQuery:
-    def test_dispatch(self):
-        q = CosetQuery(relation="E1", modulus_m=1, modulus_n=1,
-                       left=(W("e1 e2"),), right=(W("e2 e1"),))
-        assert q.evaluate()
-
-    def test_arity_validation(self):
-        with pytest.raises(ValueError):
-            CosetQuery(relation="E2", modulus_m=1, modulus_n=1,
-                       left=(W("e1"),), right=(W("e1"),))
-
-    def test_unknown_relation(self):
-        with pytest.raises(ValueError):
-            CosetQuery(relation="E9", modulus_m=1, modulus_n=1,
-                       left=(), right=())
 
 
 class TestEquivalenceSuites:

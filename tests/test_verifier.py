@@ -1,3 +1,4 @@
+import gc
 import json
 
 import jsonschema
@@ -6,6 +7,7 @@ import pytest
 from ample.config import MAX_ORACLE_BOUND, Config
 from ample.sequence import commutator_chain, witness
 from ample.stallings import (
+    SubgroupGraph,
     build_core,
     conjugacy_intersection,
     cyclic_core,
@@ -202,6 +204,23 @@ class TestVerifyAmple:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             verify_ample(0)
+
+    def test_no_graph_garbage(self):
+        """A dropped cyclic core is freed by reference counting alone."""
+        verify_ample(3)
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for _ in range(3):
+                verify_ample(3)
+            gc.collect()
+            leaked = [o for o in gc.garbage if isinstance(o, SubgroupGraph)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert leaked == []
 
     def test_report_schema(self):
         report = verify_ample(2)
