@@ -21,7 +21,6 @@ from .jsj import (
 )
 from .sequence import commutator_chain, witness
 from .stallings import (
-    ComponentWitness,
     SubgroupGraph,
     basis,
     build_core,

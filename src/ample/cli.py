@@ -52,8 +52,8 @@ def _compress_support(w: Word, rank: int) -> Word:
     if len(support) > rank:
         raise ValueError(
             f"word uses {len(support)} distinct generators, rank is {rank}")
-    mapping = {idx: new for new, idx in enumerate(support, start=1)}
-    return Word(mapping[abs(c)] * (1 if c > 0 else -1) for c in w.letters)
+    new_index = {idx: new for new, idx in enumerate(support, start=1)}
+    return Word(new_index[abs(c)] * (1 if c > 0 else -1) for c in w.letters)
 
 
 def _bool_exit(value: bool) -> int:

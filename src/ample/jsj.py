@@ -17,7 +17,7 @@ from typing import Optional
 
 from .sequence import commutator_chain, witness
 from .stallings import SubgroupGraph, build_core, contains, rank
-from .words import Word, commutator, format_word, primitive_root, relabel
+from .words import MAX_WORD_LETTERS, Word, commutator, format_word, primitive_root, relabel
 
 
 @dataclass(frozen=True)
@@ -74,12 +74,21 @@ class CheckResult:
 # Catalog constructors
 # ---------------------------------------------------------------------------
 
+def _cap_rigid_letters(count: int) -> None:
+    """Refuse an entry whose rigid generators would hold more than
+    MAX_WORD_LETTERS letters, before any of them is built."""
+    if count > MAX_WORD_LETTERS:
+        raise ValueError(f"catalog entry needs {count} rigid-generator letters, "
+                         f"more than {MAX_WORD_LETTERS}")
+
+
 def example_jsj(n: int) -> GraphOfGroups:
     """Splitting of the rank-2n free group relative to the single commutator
     product [e1,e2]...[e(2n-1),e(2n)]: one surface vertex (genus n, one
     boundary component) amalgamated to a cyclic rigid vertex over that word."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    _cap_rigid_letters(4 * n)
     product = relabel(commutator_chain(n), -1)
     surface_gens = tuple(Word((k,)) for k in range(1, 2 * n + 1))
     vertices = (
@@ -112,6 +121,7 @@ def witness_jsj_left(i: int) -> GraphOfGroups:
     <e(2j), e(2j+1)> glued over their boundary commutators."""
     if i < 1:
         raise ValueError("i must be >= 1")
+    _cap_rigid_letters((i + 1) * (2 * i + 1))  # |a_j| = 4j + 1 for j = 0..i
     rigid_gens = tuple(witness(j) for j in range(i + 1))
     vertices, edges = _rigid_with_tori(rigid_gens, i)
     return GraphOfGroups(ambient_rank=2 * i + 1, vertices=tuple(vertices),
@@ -125,6 +135,7 @@ def witness_jsj_right(i: int) -> GraphOfGroups:
     e(2i)..e(2i+3) glued over [e(2i),e(2i+1)][e(2i+2),e(2i+3)]."""
     if i < 1:
         raise ValueError("i must be >= 1")
+    _cap_rigid_letters(i * (2 * i - 1) + 4 * i + 5)  # a_0..a_(i-1), then a_(i+1)
     rigid_gens = tuple(witness(j) for j in range(i)) + (witness(i + 1),)
     vertices, edges = _rigid_with_tori(rigid_gens, i - 1)
     big_gens = tuple(Word((k,)) for k in range(2 * i, 2 * i + 4))
@@ -202,7 +213,10 @@ def validate(g: GraphOfGroups) -> list[CheckResult]:
     details = []
     for e in g.edges:
         for vid in e.endpoints:
-            if not contains(cores[vid], e.generator):
+            if vid not in cores:
+                ok = False
+                details.append(f"edge endpoint {vid} names no vertex")
+            elif not contains(cores[vid], e.generator):
                 ok = False
                 details.append(f"{format_word(e.generator)} not in vertex {vid}")
     results.append(CheckResult("edge-containment", ok, "; ".join(details)))

@@ -4,7 +4,15 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .words import Word, commutator, multiply
+from .words import Word
+
+
+def _chain_letters(n: int) -> list[int]:
+    """Letters of [e2,e3]...[e(2n),e(2n+1)]; no two adjacent ones cancel."""
+    out: list[int] = []
+    for j in range(1, n + 1):
+        out += (2 * j, 2 * j + 1, -2 * j, -2 * j - 1)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -12,17 +20,11 @@ def witness(i: int) -> Word:
     """The i-th witness word; uses letters e1 .. e(2i+1), length 4i+1."""
     if i < 0:
         raise ValueError("witness index must be >= 0")
-    if i == 0:
-        return Word((1,))
-    prev = witness(i - 1)
-    return multiply(prev, commutator(Word((2 * i,)), Word((2 * i + 1,))))
+    return Word([1] + _chain_letters(i))
 
 
 def commutator_chain(n: int) -> Word:
     """[e2,e3][e4,e5]...[e(2n),e(2n+1)]: the difference between a0 and a_n."""
     if n < 1:
         raise ValueError("chain length must be >= 1")
-    out = Word()
-    for j in range(1, n + 1):
-        out = multiply(out, commutator(Word((2 * j,)), Word((2 * j + 1,))))
-    return out
+    return Word(_chain_letters(n))

@@ -16,7 +16,6 @@ The trivial group's cyclic core is the one-vertex graph ``({},)``.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .words import Word, CyclicWord, cyclic_reduce, letter_key
@@ -179,14 +178,6 @@ class SubgroupGraph:
 
     def __repr__(self) -> str:
         return f"SubgroupGraph(vertices={self.num_vertices}, rank={rank(self)})"
-
-
-@dataclass(frozen=True)
-class ComponentWitness:
-    """One cycle-bearing component of a conjugacy fiber product."""
-
-    graph: SubgroupGraph
-    witness: Word
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +352,7 @@ def _cyclic_product(c1: SubgroupGraph, c2: SubgroupGraph) -> Adj:
     return _peel(_product(c1.adj, c2.adj, pairs)[1], keep=None)
 
 
-def conjugacy_intersection(g1: SubgroupGraph, g2: SubgroupGraph) -> list[ComponentWitness]:
+def conjugacy_intersection(g1: SubgroupGraph, g2: SubgroupGraph) -> list[SubgroupGraph]:
     """Cycle-bearing components of the fiber product of the two cyclic cores
     over all vertex pairs.
 
@@ -369,15 +360,14 @@ def conjugacy_intersection(g1: SubgroupGraph, g2: SubgroupGraph) -> list[Compone
     into the subgroup of some returned component.
     """
     adj = _cyclic_product(cyclic_core(g1), cyclic_core(g2))
-    witnesses = []
+    components = []
     remaining = set(adj)
     while remaining:
         comp = _bfs(adj, min(remaining))
         remaining -= comp.keys()
-        graph = _cyclic_graph({v: adj[v] for v in comp})
-        witnesses.append(ComponentWitness(graph=graph, witness=basis(graph)[0]))
-    witnesses.sort(key=lambda cw: _encoding(cw.graph.adj))
-    return witnesses
+        components.append(_cyclic_graph({v: adj[v] for v in comp}))
+    components.sort(key=lambda graph: _encoding(graph.adj))
+    return components
 
 
 def immerses_into(src: SubgroupGraph, dst: SubgroupGraph) -> bool:

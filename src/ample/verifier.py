@@ -278,8 +278,8 @@ def _conjugacy_part(h1: SubgroupGraph, h2: SubgroupGraph, h0: SubgroupGraph,
     count at the bound, oracle ok)."""
     h0_core = cyclic_core(h0)
     reports = tuple({"component": idx, "method": "component-immersion",
-                     "ok": immerses_into(comp.graph, h0_core),
-                     "witness": format_word(comp.witness)}
+                     "ok": immerses_into(comp, h0_core),
+                     "witness": format_word(basis(comp)[0])}
                     for idx, comp in enumerate(conjugacy_intersection(h1, h2)))
     all_ok = all(r["ok"] for r in reports)
     common = enumerate_cyclic_classes(cyclic_core(h1), bound, cyclic_core(h2))

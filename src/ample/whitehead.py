@@ -3,8 +3,7 @@ free-factor recognition.
 
 A cut-type automorphism is given by a multiplier letter x and a letter set S
 with x in S and x^-1 not in S; it fixes x and sends any other letter y to
-(x^-1 if y^-1 in S) y (x if y in S).  Permutation-type automorphisms are
-signed permutations of the basis; they never change a length.
+(x^-1 if y^-1 in S) y (x if y in S).
 
 ``minimize`` finds the best cut without enumerating cuts.  A linear word
 w = y1..yk is read as the cyclic word w z, with z a fresh letter that every
@@ -17,14 +16,15 @@ letter.  Greedy descent applies, each round, the cut with the greatest
 strict reduction, and stops when no letter has a positive gain; that is the
 peak-reduction certificate that the total is minimal in the orbit.
 
-``enumerate_whitehead_autos`` streams every cut (identities removed) and the
-signed-permutation generators in a fixed order; it is the brute-force
-reference the flow engine is tested against.
+``enumerate_whitehead_autos`` streams every cut (identities removed) in a
+fixed order; it is the brute-force reference the flow engine is tested
+against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from .stallings import basis as core_basis, build_core
@@ -44,97 +44,50 @@ def _letters_in_order(rank: int) -> list[int]:
     return out
 
 
+@dataclass(frozen=True)
 class WhiteheadAut:
-    """One Whitehead automorphism of a fixed finite rank."""
+    """The cut automorphism of F_rank with multiplier x and letter set S."""
 
-    __slots__ = ("rank", "kind", "multiplier", "subset", "mapping", "_table")
+    rank: int
+    multiplier: int
+    subset: frozenset[int]
 
-    def __init__(self, rank: int, kind: str, multiplier: Optional[int] = None,
-                 subset: Optional[frozenset[int]] = None,
-                 mapping: Optional[tuple[int, ...]] = None):
-        if kind == "cut":
-            if multiplier is None or subset is None:
-                raise ValueError("cut automorphism needs multiplier and subset")
-            if multiplier not in subset or -multiplier in subset:
-                raise ValueError("subset must contain the multiplier and not its inverse")
-            if any(c == 0 or abs(c) > rank for c in subset):
-                raise ValueError(f"subset letters must lie in ±1..±{rank}")
-            table = self._cut_table(rank, multiplier, subset)
-        elif kind == "perm":
-            if mapping is None or len(mapping) != rank:
-                raise ValueError("permutation automorphism needs images of e1..e<rank>")
-            if sorted(abs(c) for c in mapping) != list(range(1, rank + 1)):
-                raise ValueError("mapping is not a signed permutation")
-            table = self._perm_table(rank, mapping)
-        else:
-            raise ValueError(f"unknown kind {kind!r}")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "multiplier", multiplier)
+    def __post_init__(self):
+        x, subset = self.multiplier, frozenset(self.subset)
+        if x not in subset or -x in subset:
+            raise ValueError("subset must contain the multiplier and not its inverse")
+        if any(c == 0 or abs(c) > self.rank for c in subset):
+            raise ValueError(f"subset letters must lie in ±1..±{self.rank}")
         object.__setattr__(self, "subset", subset)
-        object.__setattr__(self, "mapping", mapping)
-        object.__setattr__(self, "_table", table)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("WhiteheadAut is immutable")
-
-    @staticmethod
-    def _cut_table(rank: int, x: int, subset: frozenset[int]) -> Table:
-        rows: list[tuple[int, ...]] = [()] * (2 * rank + 1)
-        for c in _letters_in_order(rank):
+    @cached_property
+    def table(self) -> Table:
+        """Row c + rank holds the image of letter c."""
+        x, subset = self.multiplier, self.subset
+        rows: list[tuple[int, ...]] = [()] * (2 * self.rank + 1)
+        for c in _letters_in_order(self.rank):
             if c == x or c == -x:
-                rows[c + rank] = (c,)
+                rows[c + self.rank] = (c,)
             else:
                 prefix = (-x,) if -c in subset else ()
                 suffix = (x,) if c in subset else ()
-                rows[c + rank] = prefix + (c,) + suffix
+                rows[c + self.rank] = prefix + (c,) + suffix
         return tuple(rows)
-
-    @staticmethod
-    def _perm_table(rank: int, mapping: tuple[int, ...]) -> Table:
-        rows: list[tuple[int, ...]] = [()] * (2 * rank + 1)
-        for k in range(1, rank + 1):
-            img = mapping[k - 1]
-            rows[k + rank] = (img,)
-            rows[-k + rank] = (-img,)
-        return tuple(rows)
-
-    @property
-    def table(self) -> Table:
-        return self._table
 
     def descriptor(self) -> dict:
-        if self.kind == "cut":
-            return {"kind": "cut", "rank": self.rank, "multiplier": self.multiplier,
-                    "subset": sorted(self.subset, key=letter_key)}
-        return {"kind": "perm", "rank": self.rank, "mapping": list(self.mapping)}
+        return {"kind": "cut", "rank": self.rank, "multiplier": self.multiplier,
+                "subset": sorted(self.subset, key=letter_key)}
 
     @staticmethod
     def from_descriptor(d: dict) -> "WhiteheadAut":
-        if d["kind"] == "cut":
-            return WhiteheadAut(d["rank"], "cut", multiplier=d["multiplier"],
-                                subset=frozenset(d["subset"]))
-        return WhiteheadAut(d["rank"], "perm", mapping=tuple(d["mapping"]))
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, WhiteheadAut)
-                and self.descriptor() == other.descriptor())
-
-    def __hash__(self) -> int:
-        return hash(str(self.descriptor()))
-
-    def __repr__(self) -> str:
-        if self.kind == "cut":
-            subset = " ".join(f"e{c}" if c > 0 else f"E{-c}"
-                              for c in sorted(self.subset, key=letter_key))
-            mult = f"e{self.multiplier}" if self.multiplier > 0 else f"E{-self.multiplier}"
-            return f"WhiteheadAut(cut x={mult} S={{{subset}}})"
-        return f"WhiteheadAut(perm {self.mapping})"
+        if d["kind"] != "cut":
+            raise ValueError(f"unknown automorphism kind {d['kind']!r}")
+        return WhiteheadAut(d["rank"], d["multiplier"], d["subset"])
 
 
 def enumerate_whitehead_autos(rank: int) -> Iterator[WhiteheadAut]:
-    """Stream all cut-type automorphisms (identities removed) followed by the
-    signed-permutation generators (inversions, then transpositions)."""
+    """Stream all cut automorphisms, identities removed: multipliers in
+    letter order, then subsets by bit mask over the other letters."""
     if rank < 1:
         raise ValueError("rank must be >= 1")
     letters = _letters_in_order(rank)
@@ -142,15 +95,7 @@ def enumerate_whitehead_autos(rank: int) -> Iterator[WhiteheadAut]:
         others = [c for c in letters if c != x and c != -x]
         for mask in range(1, 1 << len(others)):
             subset = frozenset([x] + [c for i, c in enumerate(others) if mask >> i & 1])
-            yield WhiteheadAut(rank, "cut", multiplier=x, subset=subset)
-    for k in range(1, rank + 1):
-        mapping = tuple(-k if j == k else j for j in range(1, rank + 1))
-        yield WhiteheadAut(rank, "perm", mapping=mapping)
-    for i in range(1, rank + 1):
-        for j in range(i + 1, rank + 1):
-            mapping = tuple(j if t == i else i if t == j else t
-                            for t in range(1, rank + 1))
-            yield WhiteheadAut(rank, "perm", mapping=mapping)
+            yield WhiteheadAut(rank, x, subset)
 
 
 def _check_rank(words: Sequence[Word], rank: int) -> None:
@@ -160,21 +105,10 @@ def _check_rank(words: Sequence[Word], rank: int) -> None:
                 f"word {w} uses index {w.max_index()} beyond rank {rank}")
 
 
-def _apply_codes(table: Table, rank: int, codes: Sequence[int]) -> list[int]:
-    out: list[int] = []
-    for c in codes:
-        for d in table[c + rank]:
-            if out and out[-1] == -d:
-                out.pop()
-            else:
-                out.append(d)
-    return out
-
-
 def apply(aut: WhiteheadAut, w: Word) -> Word:
     """Reduced image of w under the automorphism."""
     _check_rank([w], aut.rank)
-    return Word(_apply_codes(aut.table, aut.rank, w.letters))
+    return Word([d for c in w.letters for d in aut.table[c + aut.rank]])
 
 
 @dataclass(frozen=True)
@@ -207,7 +141,7 @@ def replay(trace: MinimizationTrace) -> tuple[Word, ...]:
     return current
 
 
-def _whitehead_graph(words: Sequence[Sequence[int]], rank: int) -> list[dict[int, int]]:
+def _whitehead_graph(words: Sequence[Word], rank: int) -> list[dict[int, int]]:
     """Edge multiplicities of the Whitehead graph of the cyclic words w z.
 
     Letter c is vertex c + rank; z and z^-1 share the vertex ``rank`` (the
@@ -219,11 +153,11 @@ def _whitehead_graph(words: Sequence[Sequence[int]], rank: int) -> list[dict[int
         adj[u][v] = adj[u].get(v, 0) + 1
         adj[v][u] = adj[v].get(u, 0) + 1
 
-    for codes in words:
-        if not codes:
+    for w in words:
+        if not w:
             continue
         prev = rank
-        for c in codes:
+        for c in w.letters:
             join(prev, rank - c)
             prev = rank + c
         join(prev, rank)
@@ -265,7 +199,7 @@ def _min_cut(adj: list[dict[int, int]], source: int,
         flow += push
 
 
-def _best_cut(words: Sequence[Sequence[int]], rank: int) -> Optional[WhiteheadAut]:
+def _best_cut(words: Sequence[Word], rank: int) -> Optional[WhiteheadAut]:
     """The cut with the greatest strict total-length reduction, or None.
 
     Ties go to the first multiplier in letter order (e1, E1, e2, ...); the
@@ -286,8 +220,7 @@ def _best_cut(words: Sequence[Sequence[int]], rank: int) -> Optional[WhiteheadAu
     if best is None:
         return None
     x, side = best
-    return WhiteheadAut(rank, "cut", multiplier=x,
-                        subset=frozenset(v - rank for v in side))
+    return WhiteheadAut(rank, x, frozenset(v - rank for v in side))
 
 
 def minimize(words: Sequence[Word], rank: int) -> MinimizationTrace:
@@ -303,25 +236,24 @@ def minimize(words: Sequence[Word], rank: int) -> MinimizationTrace:
     if not words:
         raise ValueError("minimize needs a nonempty tuple of words")
     _check_rank(words, rank)
-    start = tuple(Word(w.letters) for w in words)
-    current: list[tuple[int, ...]] = [w.letters for w in words]
-    total = sum(len(c) for c in current)
+    start = tuple(words)
+    current = start
+    total = sum(len(w) for w in current)
     applied: list[WhiteheadAut] = []
     lengths = [total]
-    floor = sum(1 for c in current if c)
+    floor = sum(1 for w in current if w)
     while total > floor:
         aut = _best_cut(current, rank)
         if aut is None:
             break
-        current = [tuple(_apply_codes(aut.table, rank, codes)) for codes in current]
-        shorter = sum(len(c) for c in current)
+        current = tuple(apply(aut, w) for w in current)
+        shorter = sum(len(w) for w in current)
         if shorter >= total:
             raise RuntimeError(f"{aut!r} does not shorten a tuple of total {total}")
         total = shorter
         applied.append(aut)
         lengths.append(total)
-    end = tuple(Word(codes) for codes in current)
-    return MinimizationTrace(start=start, end=end,
+    return MinimizationTrace(start=start, end=current,
                              automorphisms_applied=tuple(applied),
                              total_lengths=tuple(lengths))
 

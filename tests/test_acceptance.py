@@ -137,7 +137,7 @@ class TestAcceptance:
                       & enumerate_cyclic_classes(cyclic_core(g2), 8))
             covered = set()
             for comp in comps:
-                covered |= enumerate_cyclic_classes(cyclic_core(comp.graph), 8)
+                covered |= enumerate_cyclic_classes(cyclic_core(comp), 8)
             if common != covered:
                 discrepancies += 1
             conjugacy_instances += 1

@@ -211,6 +211,10 @@ class TestJsjCommand:
         assert code == 0
         assert "check generation: pass" in out
 
+    @pytest.mark.parametrize("entry,index", [
+        ("left", 223), ("right", 223), ("example", 10 ** 9)])
+    def test_show_past_letter_cap_is_usage_error(self, capsys, entry, index):
+        assert_usage_error(*run(capsys, "jsj", "show", entry, "--index", str(index)))
 
     # sha256 of `jsj show ENTRY --index I` stdout in each mode; nothing
     # parses the printed formats back, so their bytes are pinned

@@ -199,6 +199,33 @@ class TestValidateNegativeControl:
         checks = _check_map(g)
         assert not checks["root-closure"]
 
+    def test_edge_to_unknown_vertex_reported(self):
+        g = GraphOfGroups(
+            ambient_rank=1,
+            vertices=(VertexGroup(id="r0", kind="rigid", generators=(W("e1"),)),),
+            edges=(EdgeGroup(endpoints=("r0", "s9"), generator=W("e1")),),
+            relative_to=(W("e1"),))
+        checks = {c.name: c for c in validate(g)}
+        assert not checks["edge-containment"].passed
+        assert checks["edge-containment"].detail == "edge endpoint s9 names no vertex"
+
+
+class TestCatalogCap:
+    # the rigid generators a_0..a_i (or a_0..a_(i-1), a_(i+1)) hold about 2i^2
+    # letters; an entry past words.MAX_WORD_LETTERS is refused before building
+    @pytest.mark.parametrize("factory,letters", [
+        (witness_jsj_left, 99_235), (witness_jsj_right, 99_239)])
+    def test_witness_entries_capped_at_223(self, factory, letters):
+        g = factory(222)
+        assert sum(len(w) for w in g.vertices[0].generators) == letters
+        with pytest.raises(ValueError, match="100000"):
+            factory(223)
+
+    def test_example_capped_at_4n(self):
+        assert len(example_jsj(25_000).relative_to[0]) == 100_000
+        with pytest.raises(ValueError, match="100000"):
+            example_jsj(25_001)
+
 
 class TestSerialization:
     # sha256 of serialize(g); nothing parses the format back, so its bytes

@@ -35,13 +35,32 @@ def _annotations(tree: ast.Module):
 def _used_names(tree: ast.Module) -> set[str]:
     """Names read anywhere, those in string annotations ("SubgroupGraph")
     included."""
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     for annotation in _annotations(tree):
         for node in ast.walk(annotation):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 expr = ast.parse(node.value, mode="eval")
                 used.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
     return used
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each module-level ``_name`` a def, class or assignment binds, with
+    its line (dunder names excluded)."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in bound:
+            if name.startswith("_") and not name.startswith("__"):
+                names.setdefault(name, node.lineno)
+    return names
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -52,3 +71,13 @@ def test_no_unused_imports(path):
               for name, line in sorted(_imported_names(tree).items(), key=lambda kv: kv[1])
               if name not in used]
     assert unused == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dead_private_names(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _used_names(tree)
+    dead = [f"{path.name}:{line}: {name}"
+            for name, line in sorted(_private_definitions(tree).items(), key=lambda kv: kv[1])
+            if name not in used]
+    assert dead == []

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from ample.sequence import witness
 from ample.stallings import (
-    ComponentWitness,
     SubgroupGraph,
     build_core,
     basis,
@@ -302,7 +301,7 @@ class TestCyclicCore:
             assert bool(core) == (rank(g) > 0)
         for comp in conjugacy_intersection(build_core([W("e1"), W("e2 e2")]),
                                            build_core([W("e1"), W("e2")])):
-            assert cyclic_core(comp.graph) is comp.graph
+            assert cyclic_core(comp) is comp
 
 
 class TestImmersion:
@@ -334,10 +333,10 @@ class TestImmersion:
                   for _ in range(2))
         h0_core = cyclic_core(build_core(shared))
         for comp in conjugacy_intersection(h1, h2):
-            assert (immerses_into(comp.graph, h0_core)
-                    == bfs_immerses_into(comp.graph, h0_core))
-            assert immerses_into(comp.graph, cyclic_core(h1))
-            assert immerses_into(comp.graph, cyclic_core(h2))
+            assert (immerses_into(comp, h0_core)
+                    == bfs_immerses_into(comp, h0_core))
+            assert immerses_into(comp, cyclic_core(h1))
+            assert immerses_into(comp, cyclic_core(h2))
 
 
 class TestConjugacy:
@@ -353,7 +352,7 @@ class TestConjugacy:
         comps = conjugacy_intersection(build_core([W("e1")]),
                                        build_core([W("e1")]))
         assert len(comps) == 1
-        assert equals(comps[0].graph, build_core([W("e1")]))
+        assert equals(comps[0], build_core([W("e1")]))
 
     def test_witness_components_conjugate_into_h0(self):
         h1 = build_core([witness(0), witness(1)])
@@ -362,7 +361,7 @@ class TestConjugacy:
         comps = conjugacy_intersection(h1, h2)
         assert comps
         for comp in comps:
-            assert immerses_into(cyclic_core(comp.graph), cyclic_core(h0))
+            assert immerses_into(cyclic_core(comp), cyclic_core(h0))
         # bounded-length oracle, L = 8: every common class is an e1-power class
         common = (enumerate_cyclic_classes(cyclic_core(h1), 8)
                   & enumerate_cyclic_classes(cyclic_core(h2), 8))
@@ -382,7 +381,7 @@ class TestConjugacy:
                       & enumerate_cyclic_classes(cyclic_core(g2), bound))
             covered = set()
             for comp in comps:
-                covered |= enumerate_cyclic_classes(cyclic_core(comp.graph), bound)
+                covered |= enumerate_cyclic_classes(cyclic_core(comp), bound)
             assert common == covered
 
     def test_subgroup_classes_covered(self, rng):
@@ -395,7 +394,7 @@ class TestConjugacy:
             h_graph = build_core(h_words)
             comps = conjugacy_intersection(h_graph, k_graph)
             for b in basis(h_graph):
-                assert any(is_conjugate_into(b, c.graph) for c in comps)
+                assert any(is_conjugate_into(b, c) for c in comps)
 
     def test_enumerate_cyclic_classes_circle(self):
         core = cyclic_core(build_core([W("e1")]))

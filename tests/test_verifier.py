@@ -51,6 +51,13 @@ class TestWitnessSequence:
         for n in (1, 2, 3):
             assert commutator_chain(n) == multiply(invert(witness(0)), witness(n))
 
+    def test_deep_index_on_fresh_cache(self):
+        # building witness(i) must not recurse once per index
+        witness.cache_clear()
+        w = witness(600)
+        assert len(w) == 2401
+        assert w == multiply(W("e1"), commutator_chain(600))
+
 
 class TestClause1:
     def test_n1_minimal_length_4(self):

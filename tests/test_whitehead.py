@@ -68,13 +68,13 @@ def cut_type_count(rank: int) -> int:
 
 class TestEnumeration:
     def test_rank1_only_inversion(self):
-        autos = list(enumerate_whitehead_autos(1))
-        assert len(autos) == 1
-        assert autos[0].kind == "perm" and autos[0].mapping == (-1,)
+        # the only rank-1 automorphism besides the identity is the inversion
+        # e1 -> E1, which is no cut and never changes a length
+        assert list(enumerate_whitehead_autos(1)) == []
 
     def test_rank2_cut_count(self):
         # 2 * rank * 2^(2 rank - 2) = 16 total, minus the 4 identities
-        cuts = [a for a in enumerate_whitehead_autos(2) if a.kind == "cut"]
+        cuts = list(enumerate_whitehead_autos(2))
         assert 2 * 2 * 2 ** 2 == 16
         assert len(cuts) == cut_type_count(2) == 12
 
@@ -84,7 +84,7 @@ class TestEnumeration:
             images = [apply(aut, Word((k,))) for k in (1, 2, 3)]
             assert is_basis(images, 3)
             count += 1
-        assert count == cut_type_count(3) + 3 + 3
+        assert count == cut_type_count(3)
 
     def test_enumeration_is_deterministic(self):
         first = [a.descriptor() for a in enumerate_whitehead_autos(2)]
@@ -93,19 +93,14 @@ class TestEnumeration:
 
 
 class TestApply:
-    def test_identity_permutation(self):
-        ident = WhiteheadAut(3, "perm", mapping=(1, 2, 3))
-        w = W("e1 [e2,e3]")
-        assert apply(ident, w) == w
-
     def test_cut_action_definition(self):
-        aut = WhiteheadAut(2, "cut", multiplier=2, subset=frozenset({2, 1}))
+        aut = WhiteheadAut(2, 2, frozenset({2, 1}))
         assert apply(aut, W("e1")) == W("e1 e2")
         assert apply(aut, W("E1")) == W("E2 E1")
         assert apply(aut, W("e2")) == W("e2")
 
     def test_conjugation_is_a_cut_automorphism(self):
-        conj = WhiteheadAut(2, "cut", multiplier=1, subset=frozenset({1, 2, -2}))
+        conj = WhiteheadAut(2, 1, frozenset({1, 2, -2}))
         assert apply(conj, W("e2")) == W("E1 e2 e1")
         assert apply(conj, W("e1 e2 E1")) == W("e2")
 
@@ -118,7 +113,7 @@ class TestApply:
         assert apply(aut, commutator(u, v)) == commutator(apply(aut, u), apply(aut, v))
 
     def test_rank_mismatch(self):
-        aut = WhiteheadAut(2, "perm", mapping=(1, 2))
+        aut = WhiteheadAut(2, 1, frozenset({1, 2}))
         with pytest.raises(RankMismatchError):
             apply(aut, W("e3"))
 
@@ -127,13 +122,17 @@ class TestCutValidation:
     @pytest.mark.parametrize("subset", [{1, 0, 7}, {1, 0}, {1, 3}, {1, -3}])
     def test_subset_outside_rank_rejected(self, subset):
         with pytest.raises(ValueError):
-            WhiteheadAut(2, "cut", multiplier=1, subset=frozenset(subset))
+            WhiteheadAut(2, 1, frozenset(subset))
 
     def test_malformed_descriptor_rejected(self):
         good = {"kind": "cut", "rank": 2, "multiplier": 1, "subset": [1, 2, -2]}
         assert WhiteheadAut.from_descriptor(good).descriptor() == good
         with pytest.raises(ValueError):
             WhiteheadAut.from_descriptor(dict(good, subset=[1, 0, 7]))
+
+    def test_permutation_descriptor_rejected(self):
+        with pytest.raises(ValueError):
+            WhiteheadAut.from_descriptor({"kind": "perm", "rank": 2, "mapping": [1, 2]})
 
 
 class TestMinimize:
@@ -178,15 +177,15 @@ class TestMinimize:
         rank, words_ = case
         total = sum(len(w) for w in words_)
         trace = minimize(words_, rank)
-        best_reduction = max(
+        # 0 is the baseline of applying nothing
+        best_reduction = max(0, max(
             total - brute_force_total(words_, aut)
-            for aut in reference_autos(rank))
+            for aut in reference_autos(rank)))
         lengths = trace.total_lengths
         engine_reduction = lengths[0] - lengths[1] if len(lengths) > 1 else 0
         assert engine_reduction == best_reduction
         assert trace.minimal_total == brute_force_minimal_total(words_, rank)
         assert all(a > b for a, b in zip(lengths, lengths[1:]))
-        assert all(aut.kind == "cut" for aut in trace.automorphisms_applied)
         assert replay(trace) == trace.end
 
 
