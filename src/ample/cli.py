@@ -46,8 +46,6 @@ def _parse_words_arg(text: str) -> list[Word]:
 
 def _compress_support(w: Word, rank: int) -> Word:
     """Relabel the word's distinct generator indices onto e1..e<k>."""
-    if w.max_index() <= rank:
-        return w
     support = sorted({abs(c) for c in w.letters})
     if len(support) > rank:
         raise ValueError(
@@ -99,9 +97,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "primitive", help="is the word primitive in F_rank?",
-        epilog="a word whose generator indices exceed the rank is first "
-               "relabelled onto e1..e<k> (k = number of distinct indices, "
-               "which must be <= rank); primitivity is preserved by this.")
+        epilog="the word is relabelled onto e1..e<k> (k = number of "
+               "distinct indices, which must be <= rank) and checked in F_k; "
+               "primitivity is preserved by this.")
     p.add_argument("word")
     p.add_argument("--rank", type=int, required=True)
 
@@ -241,10 +239,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _run_subgroup(args)
         if args.command == "primitive":
             w = _compress_support(parse_word(args.word), args.rank)
-            return _bool_exit(whitehead.is_primitive(w, args.rank))
+            return _bool_exit(whitehead.is_primitive(w, w.max_index()))
         if args.command == "minimize":
             words = [parse_word(t) for t in args.words]
-            trace = whitehead.minimize(words, args.rank)
+            # a cut through an unused letter never shortens: scan at the largest
+            # index used (past --rank, minimize's rank check refuses the words)
+            trace = whitehead.minimize(words, min(args.rank, max(w.max_index() for w in words)))
             for step, length in enumerate(trace.total_lengths):
                 print(f"step {step}: total length {length}")
             print("end: " + "; ".join(format_word(w) for w in trace.end))

@@ -343,23 +343,17 @@ def is_conjugate_into(w: Word, g: SubgroupGraph) -> bool:
     return reads_closed_path(cyclic_core(g), cyclic_reduce(w)[0].letters)
 
 
-def _cyclic_product(c1: SubgroupGraph, c2: SubgroupGraph) -> Adj:
-    """Peeled fiber product of two cyclic cores over all vertex pairs: the
-    product walk starts from every pair in row-major order, so the pair
-    (v1, v2) is numbered v1 * |c2| + v2.  A cyclically reduced word reads a
-    closed path in it iff it reads one in each core."""
-    pairs = [(v1, v2) for v1 in range(c1.num_vertices) for v2 in range(c2.num_vertices)]
-    return _peel(_product(c1.adj, c2.adj, pairs)[1], keep=None)
-
-
 def conjugacy_intersection(g1: SubgroupGraph, g2: SubgroupGraph) -> list[SubgroupGraph]:
     """Cycle-bearing components of the fiber product of the two cyclic cores
     over all vertex pairs.
 
     A nontrivial word is conjugate into both g1 and g2 iff it is conjugate
-    into the subgroup of some returned component.
+    into the subgroup of some returned component: a cyclically reduced word
+    reads a closed path in the peeled product iff it reads one in each core.
     """
-    adj = _cyclic_product(cyclic_core(g1), cyclic_core(g2))
+    c1, c2 = cyclic_core(g1), cyclic_core(g2)
+    pairs = [(v1, v2) for v1 in range(c1.num_vertices) for v2 in range(c2.num_vertices)]
+    adj = _peel(_product(c1.adj, c2.adj, pairs)[1], keep=None)
     components = []
     remaining = set(adj)
     while remaining:
@@ -391,24 +385,9 @@ def immerses_into(src: SubgroupGraph, dst: SubgroupGraph) -> bool:
 # Bounded-length enumeration oracle
 # ---------------------------------------------------------------------------
 
-Arcs = list[list[tuple[int, int, int]]]
-
-
-def _distances(arcs: Arcs, start: int) -> list[int]:
-    dist = [-1] * len(arcs)
-    dist[start] = 0
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for _, _, t in arcs[v]:
-            if dist[t] < 0:
-                dist[t] = dist[v] + 1
-                queue.append(t)
-    return dist
-
-
-def _extend(arcs: Arcs, dist: list[int], max_len: int, found: set[tuple[int, ...]],
-            start: int, v: int, path: list[int], first: int) -> None:
+def _extend(arcs: list[list[tuple[int, int, int]]], dist: list[int], max_len: int,
+            found: set[tuple[int, ...]], start: int, v: int, path: list[int],
+            first: int) -> None:
     """Record every closed cyclically reduced path of length <= max_len that
     extends ``path`` (start -> v) with no letter ranked below its first one
     (rank ``first``; 0 while the path is empty): each class has a rotation
@@ -426,20 +405,17 @@ def _extend(arcs: Arcs, dist: list[int], max_len: int, found: set[tuple[int, ...
         path.pop()
 
 
-def enumerate_cyclic_classes(core: SubgroupGraph, max_len: int,
-                             other: Optional[SubgroupGraph] = None) -> set[CyclicWord]:
+def enumerate_cyclic_classes(core: SubgroupGraph, max_len: int) -> set[CyclicWord]:
     """All nontrivial conjugacy classes of cyclically reduced length <= max_len
-    whose class meets the subgroups carried by ``core`` (i.e. cyclic words
-    readable as closed paths in the core), up to rotation.
-
-    With ``other``, only the classes readable in both cores: one walk over
-    their peeled product, equal to the intersection of the two class sets.
-    """
-    adj = dict(enumerate(core.adj)) if other is None else _cyclic_product(core, other)
-    index = {v: i for i, v in enumerate(adj)}
-    arcs = [sorted((letter_key(code), code, index[t]) for code, t in row.items())
-            for row in adj.values()]
+    readable as closed paths in ``core``, up to rotation; a path is dropped
+    once the BFS depth of its end from its start says it cannot close."""
+    arcs = [sorted((letter_key(code), code, t) for code, t in row.items())
+            for row in core.adj]
     found: set[tuple[int, ...]] = set()
     for start in range(len(arcs)):
-        _extend(arcs, _distances(arcs, start), max_len, found, start, start, [], 0)
+        dist = [0] * len(arcs)
+        for v, arc in _bfs(core.adj, start).items():
+            if arc is not None:
+                dist[v] = dist[arc[0]] + 1
+        _extend(arcs, dist, max_len, found, start, start, [], 0)
     return {CyclicWord(path) for path in found}

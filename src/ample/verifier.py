@@ -15,11 +15,10 @@ Conjugacy parts record per component whether it immerses into the cyclic
 core of the expected meet h0 (a single-conjugator certificate; a component
 that does not immerse fails the clause, and in clause 3, whose h0 is
 trivial, every component does) plus a bounded-length enumeration
-cross-check whose bound L is always recorded: one walk over the product of
-the two cyclic cores lists the classes of length <= L they share, and each
-must read a closed path in the cyclic core of h0.  Reports state what was
-checked, they do not claim unconditional proof of the conjugacy-closure
-equality.
+cross-check whose bound L is always recorded: the classes of length <= L
+the two cyclic cores share, listed component by component, must each read
+a closed path in the cyclic core of h0.  Reports state what was checked,
+they do not claim unconditional proof of the conjugacy-closure equality.
 """
 
 from __future__ import annotations
@@ -273,18 +272,18 @@ def check_clause2(i: int) -> FactorizationResult:
 def _conjugacy_part(h1: SubgroupGraph, h2: SubgroupGraph, h0: SubgroupGraph,
                     bound: int) -> tuple[bool, tuple[dict, ...], int, bool]:
     """Check that every conjugacy class meeting both h1 and h2 is conjugate
-    into h0: each component of the conjugacy fiber product must immerse into
-    the cyclic core of h0; returns (ok, per-component reports, common-class
-    count at the bound, oracle ok)."""
+    into h0: each component of the conjugacy fiber product must immerse into,
+    and each class of length <= bound it reads must read a closed path in,
+    the cyclic core of h0; returns (ok, component reports, class count, oracle ok)."""
     h0_core = cyclic_core(h0)
+    components = conjugacy_intersection(h1, h2)
     reports = tuple({"component": idx, "method": "component-immersion",
                      "ok": immerses_into(comp, h0_core),
                      "witness": format_word(basis(comp)[0])}
-                    for idx, comp in enumerate(conjugacy_intersection(h1, h2)))
-    all_ok = all(r["ok"] for r in reports)
-    common = enumerate_cyclic_classes(cyclic_core(h1), bound, cyclic_core(h2))
+                    for idx, comp in enumerate(components))
+    common = set().union(*(enumerate_cyclic_classes(comp, bound) for comp in components))
     oracle_ok = all(reads_closed_path(h0_core, cw.letters) for cw in common)
-    return all_ok and oracle_ok, reports, len(common), oracle_ok
+    return all(r["ok"] for r in reports) and oracle_ok, reports, len(common), oracle_ok
 
 
 def _check_acl(clause_id: str, h1: SubgroupGraph, h2: SubgroupGraph, h0: SubgroupGraph,

@@ -105,10 +105,15 @@ def _check_rank(words: Sequence[Word], rank: int) -> None:
                 f"word {w} uses index {w.max_index()} beyond rank {rank}")
 
 
+def _image(aut: WhiteheadAut, w: Word) -> Word:
+    """``apply`` without its rank check, for callers that made it."""
+    return Word([d for c in w.letters for d in aut.table[c + aut.rank]])
+
+
 def apply(aut: WhiteheadAut, w: Word) -> Word:
     """Reduced image of w under the automorphism."""
     _check_rank([w], aut.rank)
-    return Word([d for c in w.letters for d in aut.table[c + aut.rank]])
+    return _image(aut, w)
 
 
 @dataclass(frozen=True)
@@ -246,7 +251,7 @@ def minimize(words: Sequence[Word], rank: int) -> MinimizationTrace:
         aut = _best_cut(current, rank)
         if aut is None:
             break
-        current = tuple(apply(aut, w) for w in current)
+        current = tuple(_image(aut, w) for w in current)
         shorter = sum(len(w) for w in current)
         if shorter >= total:
             raise RuntimeError(f"{aut!r} does not shorten a tuple of total {total}")

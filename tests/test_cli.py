@@ -5,11 +5,13 @@ import re
 import runpy
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+from ample import whitehead
 from ample.cli import main
 from ample.verifier import REPORT_SCHEMA
 
@@ -24,6 +26,19 @@ def assert_usage_error(code: int, out: str, err: str, prefix: str = "ample: ") -
     assert code == 2 and out == ""
     assert err.startswith(prefix) and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def spy_scan_ranks(monkeypatch) -> list[int]:
+    """Record the rank of every Whitehead descent the CLI starts."""
+    ranks: list[int] = []
+    original = whitehead.minimize
+
+    def spy(words, rank):
+        ranks.append(rank)
+        return original(words, rank)
+
+    monkeypatch.setattr(whitehead, "minimize", spy)
+    return ranks
 
 
 def scrub_millis(payload: dict) -> dict:
@@ -127,6 +142,13 @@ class TestPrimitiveCommand:
         code, _, err = run(capsys, "primitive", "e1 e2 e3", "--rank", "2")
         assert code == 2 and "distinct generators" in err
 
+    def test_scans_at_support_size(self, capsys, monkeypatch):
+        ranks = spy_scan_ranks(monkeypatch)
+        code, out, _ = run(capsys, "primitive", "e5 e9 E5 e9", "--rank", "10000")
+        assert code == 1 and out == "false\n" and ranks == [2]
+        code, out, _ = run(capsys, "primitive", "e4 [e7,e9]", "--rank", "10000")
+        assert code == 0 and out == "true\n" and ranks == [2, 3]
+
 
 class TestMinimizeCommand:
     def test_trace_output(self, capsys):
@@ -134,6 +156,30 @@ class TestMinimizeCommand:
         assert code == 0
         assert out.startswith("step 0: total length 5")
         assert "end:" in out
+
+    def test_scans_at_largest_index(self, capsys, monkeypatch):
+        _, at_rank_7, _ = run(capsys, "minimize", "e1 [e2,e3]", "e7 e1", "--rank", "7")
+        ranks = spy_scan_ranks(monkeypatch)
+        code, out, _ = run(capsys, "minimize", "e1 [e2,e3]", "e7 e1", "--rank", "10000")
+        assert code == 0 and out == at_rank_7 and ranks == [7]
+
+    def test_index_past_rank_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "minimize", "e1", "e1 e5", "--rank", "3")
+        assert_usage_error(code, out, err)
+        assert err == "ample: word e1 e5 uses index 5 beyond rank 3\n"
+
+
+@pytest.mark.parametrize("argv", [("primitive", "e1 e2 E1 e2"),
+                                  ("minimize", "e1 e2 E1 E2 e1", "e2 e3")])
+def test_whitehead_memory_independent_of_rank(capsys, argv):
+    # the scan used to build 2 * rank + 1 rows: about 370 MB at this rank
+    tracemalloc.start()
+    try:
+        code, _, _ = run(capsys, *argv, "--rank", "1000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code in (0, 1) and peak < 2_000_000
 
 
 class TestBasicSortCommand:

@@ -21,6 +21,7 @@ from ample.stallings import (
     rank,
     reads_closed_path,
 )
+from ample.verifier import _conjugacy_part
 from ample.words import CyclicWord, Word, cyclic_reduce, invert, multiply, parse_word
 
 from conftest import all_reduced_words, naive_products, random_reduced_word, words
@@ -98,6 +99,20 @@ def immersion_pairs(draw):
             lambda fs: Word([c for f in fs for c in f.letters]))
         return draw(st.lists(products, max_size=3)), dst
     return draw(st.lists(words(rank_, 5), max_size=3)), dst
+
+
+@st.composite
+def sharing_pairs(draw):
+    """(generators 1, generators 2, length bound) over rank 1-4: the second
+    tuple shares a drawn prefix of the first, so the two class sets often
+    meet; a generator may reduce to the identity, so either core may be
+    empty."""
+    rank_ = draw(st.integers(min_value=1, max_value=4))
+    gens1 = draw(st.lists(words(rank_, 6), min_size=1, max_size=3))
+    shared = draw(st.integers(min_value=0, max_value=len(gens1)))
+    gens2 = gens1[:shared] + draw(
+        st.lists(words(rank_, 6), min_size=0 if shared else 1, max_size=3 - shared))
+    return gens1, gens2, draw(st.integers(min_value=1, max_value=7))
 
 
 def random_subgroup(rng, rank_=2, max_gens=3, max_len=5):
@@ -414,29 +429,27 @@ class TestConjugacy:
         assert (enumerate_cyclic_classes(core, max_len)
                 == brute_force_cyclic_classes(core, max_len))
 
-    @given(data=st.data())
+    @given(case=sharing_pairs())
+    @example(case=([W("e1")], [], 4))                  # empty second core
+    @example(case=([], [W("e1")], 4))                  # empty first core
+    # two components, circles of e1 and of e3, with disjoint classes
+    @example(case=([W("e1"), W("e2 e3 E2")], [W("e1"), W("e3")], 5))
     @settings(max_examples=80, deadline=None)
-    def test_product_walk_matches_intersection(self, data):
-        # the second subgroup shares a drawn prefix of the first one's
-        # generators, so the two class sets often meet; a generator may
-        # reduce to the identity, so either core may be empty
-        rank_ = data.draw(st.integers(min_value=1, max_value=4))
-        gens1 = data.draw(st.lists(words(rank_, 6), min_size=1, max_size=3))
-        shared = data.draw(st.integers(min_value=0, max_value=len(gens1)))
-        gens2 = gens1[:shared] + data.draw(
-            st.lists(words(rank_, 6), min_size=0 if shared else 1,
-                     max_size=3 - shared))
-        max_len = data.draw(st.integers(min_value=1, max_value=7))
-        c1, c2 = cyclic_core(build_core(gens1)), cyclic_core(build_core(gens2))
-        assert (enumerate_cyclic_classes(c1, max_len, c2)
-                == enumerate_cyclic_classes(c1, max_len)
-                & enumerate_cyclic_classes(c2, max_len))
-
-    def test_product_walk_with_empty_core(self):
-        circle = cyclic_core(build_core([W("e1")]))
-        empty = cyclic_core(build_core([]))
-        assert enumerate_cyclic_classes(circle, 4, empty) == set()
-        assert enumerate_cyclic_classes(empty, 4, circle) == set()
+    def test_product_walk_matches_intersection(self, case):
+        gens1, gens2, max_len = case
+        g1, g2 = build_core(gens1), build_core(gens2)
+        c1, c2 = cyclic_core(g1), cyclic_core(g2)
+        common = (enumerate_cyclic_classes(c1, max_len)
+                  & enumerate_cyclic_classes(c2, max_len))
+        assert common == (brute_force_cyclic_classes(c1, max_len)
+                          & brute_force_cyclic_classes(c2, max_len))
+        covered = set().union(*(enumerate_cyclic_classes(comp, max_len)
+                                for comp in conjugacy_intersection(g1, g2)))
+        assert covered == common
+        # the verifier counts the same union; against the trivial group as
+        # h0 its cross-check holds iff there is no common class
+        _, _, count, oracle_ok = _conjugacy_part(g1, g2, build_core([]), max_len)
+        assert count == len(common) and oracle_ok == (not common)
 
     def test_reads_closed_path(self):
         g = build_core([W("e1"), W("E3 e2 e3")])
