@@ -451,6 +451,15 @@ class TestConjugacy:
         _, _, count, oracle_ok = _conjugacy_part(g1, g2, build_core([]), max_len)
         assert count == len(common) and oracle_ok == (not common)
 
+    def test_product_walk_with_empty_core(self):
+        # a trivial factor leaves the product with no cycle: no component,
+        # and the verifier counts no common class on either side
+        circle, empty = build_core([W("e1")]), build_core([])
+        for g1, g2 in ((circle, empty), (empty, circle)):
+            assert conjugacy_intersection(g1, g2) == []
+            _, _, count, oracle_ok = _conjugacy_part(g1, g2, empty, 4)
+            assert count == 0 and oracle_ok
+
     def test_reads_closed_path(self):
         g = build_core([W("e1"), W("E3 e2 e3")])
         core = cyclic_core(g)
