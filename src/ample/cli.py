@@ -242,9 +242,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _bool_exit(whitehead.is_primitive(w, w.max_index()))
         if args.command == "minimize":
             words = [parse_word(t) for t in args.words]
-            # a cut through an unused letter never shortens: scan at the largest
-            # index used (past --rank, minimize's rank check refuses the words)
-            trace = whitehead.minimize(words, min(args.rank, max(w.max_index() for w in words)))
+            trace = whitehead.minimize(words, args.rank)
             for step, length in enumerate(trace.total_lengths):
                 print(f"step {step}: total length {length}")
             print("end: " + "; ".join(format_word(w) for w in trace.end))

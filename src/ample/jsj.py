@@ -82,6 +82,19 @@ def _cap_rigid_letters(count: int) -> None:
                          f"more than {MAX_WORD_LETTERS}")
 
 
+def _witness_letters(i: int) -> tuple[int, int]:
+    """Rigid-generator letters of witness_jsj_left(i) and witness_jsj_right(i):
+    a_0..a_i, and a_0..a_(i-1) then a_(i+1), with |a_j| = 4j + 1."""
+    return (i + 1) * (2 * i + 1), i * (2 * i - 1) + 4 * i + 5
+
+
+def cap_witness_entries(i: int) -> None:
+    """Refuse i as witness_jsj_left(i) and witness_jsj_right(i) would, without
+    building either; both counts grow with i."""
+    for count in _witness_letters(i):
+        _cap_rigid_letters(count)
+
+
 def example_jsj(n: int) -> GraphOfGroups:
     """Splitting of the rank-2n free group relative to the single commutator
     product [e1,e2]...[e(2n-1),e(2n)]: one surface vertex (genus n, one
@@ -121,7 +134,7 @@ def witness_jsj_left(i: int) -> GraphOfGroups:
     <e(2j), e(2j+1)> glued over their boundary commutators."""
     if i < 1:
         raise ValueError("i must be >= 1")
-    _cap_rigid_letters((i + 1) * (2 * i + 1))  # |a_j| = 4j + 1 for j = 0..i
+    _cap_rigid_letters(_witness_letters(i)[0])
     rigid_gens = tuple(witness(j) for j in range(i + 1))
     vertices, edges = _rigid_with_tori(rigid_gens, i)
     return GraphOfGroups(ambient_rank=2 * i + 1, vertices=tuple(vertices),
@@ -135,7 +148,7 @@ def witness_jsj_right(i: int) -> GraphOfGroups:
     e(2i)..e(2i+3) glued over [e(2i),e(2i+1)][e(2i+2),e(2i+3)]."""
     if i < 1:
         raise ValueError("i must be >= 1")
-    _cap_rigid_letters(i * (2 * i - 1) + 4 * i + 5)  # a_0..a_(i-1), then a_(i+1)
+    _cap_rigid_letters(_witness_letters(i)[1])
     rigid_gens = tuple(witness(j) for j in range(i)) + (witness(i + 1),)
     vertices, edges = _rigid_with_tori(rigid_gens, i - 1)
     big_gens = tuple(Word((k,)) for k in range(2 * i, 2 * i + 4))

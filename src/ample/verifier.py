@@ -28,7 +28,8 @@ import time
 from dataclasses import dataclass
 
 from .config import Config
-from .jsj import acl_from_catalog, singleton_jsj, witness_jsj_left, witness_jsj_right
+from .jsj import (acl_from_catalog, cap_witness_entries, singleton_jsj,
+                  witness_jsj_left, witness_jsj_right)
 from .sequence import commutator_chain, witness
 from .stallings import (
     SubgroupGraph,
@@ -59,7 +60,6 @@ class ResourceLimitError(RuntimeError):
 @dataclass(frozen=True)
 class ForksResult:
     passed: bool
-    n: int
     rank: int
     word: Word
     trace: MinimizationTrace
@@ -154,7 +154,6 @@ class VerificationReport:
     clause4: tuple[AclResult, ...]
     overall: bool
     config: Config
-    millis: float
 
     def clause_dicts(self) -> list[dict]:
         clauses = [self.clause1.to_clause()]
@@ -227,22 +226,27 @@ REPORT_SCHEMA = {
 # Clause checks
 # ---------------------------------------------------------------------------
 
+def _scan_rank(n: int, config: Config) -> int:
+    """The Whitehead scan rank clause 1 needs at n, refused past the cap."""
+    if 2 * n > config.max_rank:
+        raise ResourceLimitError(
+            f"clause 1 at n={n} needs a rank-{2 * n} Whitehead scan; "
+            f"configured maximum is {config.max_rank}")
+    return 2 * n
+
+
 def check_clause1(n: int, config: Config = Config()) -> ForksResult:
     """a0 forks with a_n: the commutator chain a0^-1 a_n, relabelled onto
     e1..e(2n), must not be primitive; the minimization trace is the evidence."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    scan_rank = 2 * n
-    if scan_rank > config.max_rank:
-        raise ResourceLimitError(
-            f"clause 1 at n={n} needs a rank-{scan_rank} Whitehead scan; "
-            f"configured maximum is {config.max_rank}")
+    scan_rank = _scan_rank(n, config)
     start = time.perf_counter()
     chain = commutator_chain(n)
     relabelled = relabel(chain, -1)
     trace = minimize([relabelled], scan_rank)
     millis = (time.perf_counter() - start) * 1000
-    return ForksResult(passed=trace.minimal_total > 1, n=n, rank=scan_rank,
+    return ForksResult(passed=trace.minimal_total > 1, rank=scan_rank,
                        word=chain, trace=trace, millis=millis)
 
 
@@ -333,11 +337,16 @@ def check_clause4(i: int, config: Config = Config()) -> AclResult:
 def verify_ample(n: int, config: Config = Config()) -> VerificationReport:
     """Run all four clause checks for the given n and aggregate the report.
 
-    For n = 1 clauses 2 and 4 are vacuous and reported as such.
+    For n = 1 clauses 2 and 4 are vacuous and reported as such.  Both limits
+    are checked before any clause runs: first the clause-1 scan rank
+    (``ResourceLimitError``), then the catalog cap that clause 4 meets at
+    i = n - 1 (``ValueError``).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    start = time.perf_counter()
+    _scan_rank(n, config)
+    if n > 1:
+        cap_witness_entries(n - 1)
     clause1 = check_clause1(n, config)
     clause2 = tuple(check_clause2(i) for i in range(1, n))
     clause3 = check_clause3(config)
@@ -345,7 +354,6 @@ def verify_ample(n: int, config: Config = Config()) -> VerificationReport:
     overall = (clause1.passed and clause3.passed
                and all(r.passed for r in clause2)
                and all(r.passed for r in clause4))
-    millis = (time.perf_counter() - start) * 1000
     return VerificationReport(n=n, clause1=clause1, clause2=clause2,
                               clause3=clause3, clause4=clause4,
-                              overall=overall, config=config, millis=millis)
+                              overall=overall, config=config)

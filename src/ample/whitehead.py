@@ -16,6 +16,10 @@ letter.  Greedy descent applies, each round, the cut with the greatest
 strict reduction, and stops when no letter has a positive gain; that is the
 peak-reduction certificate that the total is minimal in the orbit.
 
+A vertex of the graph is a letter code, and z and z^-1 share vertex 0.  Only
+the letters the words use are vertices: any other letter has degree 0 and
+never gains, so a round costs time and memory in the words, not the rank.
+
 ``enumerate_whitehead_autos`` streams every cut (identities removed) in a
 fixed order; it is the brute-force reference the flow engine is tested
 against.
@@ -23,6 +27,7 @@ against.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
@@ -30,18 +35,9 @@ from typing import Iterator, Optional, Sequence
 from .stallings import basis as core_basis, build_core
 from .words import Word, letter_key
 
-Table = tuple[tuple[int, ...], ...]
-
 
 class RankMismatchError(ValueError):
     """A word uses generator indices beyond the declared rank."""
-
-
-def _letters_in_order(rank: int) -> list[int]:
-    out = []
-    for k in range(1, rank + 1):
-        out.extend((k, -k))
-    return out
 
 
 @dataclass(frozen=True)
@@ -61,18 +57,11 @@ class WhiteheadAut:
         object.__setattr__(self, "subset", subset)
 
     @cached_property
-    def table(self) -> Table:
-        """Row c + rank holds the image of letter c."""
-        x, subset = self.multiplier, self.subset
-        rows: list[tuple[int, ...]] = [()] * (2 * self.rank + 1)
-        for c in _letters_in_order(self.rank):
-            if c == x or c == -x:
-                rows[c + self.rank] = (c,)
-            else:
-                prefix = (-x,) if -c in subset else ()
-                suffix = (x,) if c in subset else ()
-                rows[c + self.rank] = prefix + (c,) + suffix
-        return tuple(rows)
+    def table(self) -> dict[int, tuple[int, ...]]:
+        """Images of the letters the cut moves; every other letter is fixed."""
+        x, s = self.multiplier, self.subset
+        return {y: ((-x,) if -y in s else ()) + (y,) + ((x,) if y in s else ())
+                for c in s if c != x for y in (c, -c)}
 
     def descriptor(self) -> dict:
         return {"kind": "cut", "rank": self.rank, "multiplier": self.multiplier,
@@ -90,7 +79,7 @@ def enumerate_whitehead_autos(rank: int) -> Iterator[WhiteheadAut]:
     letter order, then subsets by bit mask over the other letters."""
     if rank < 1:
         raise ValueError("rank must be >= 1")
-    letters = _letters_in_order(rank)
+    letters = [c for k in range(1, rank + 1) for c in (k, -k)]
     for x in letters:
         others = [c for c in letters if c != x and c != -x]
         for mask in range(1, 1 << len(others)):
@@ -107,7 +96,7 @@ def _check_rank(words: Sequence[Word], rank: int) -> None:
 
 def _image(aut: WhiteheadAut, w: Word) -> Word:
     """``apply`` without its rank check, for callers that made it."""
-    return Word([d for c in w.letters for d in aut.table[c + aut.rank]])
+    return Word([d for c in w.letters for d in aut.table.get(c, (c,))])
 
 
 def apply(aut: WhiteheadAut, w: Word) -> Word:
@@ -146,34 +135,28 @@ def replay(trace: MinimizationTrace) -> tuple[Word, ...]:
     return current
 
 
-def _whitehead_graph(words: Sequence[Word], rank: int) -> list[dict[int, int]]:
+def _whitehead_graph(words: Sequence[Word]) -> dict[int, dict[int, int]]:
     """Edge multiplicities of the Whitehead graph of the cyclic words w z.
 
-    Letter c is vertex c + rank; z and z^-1 share the vertex ``rank`` (the
-    slot of the absent code 0), since every cut puts both on the sink side.
+    A vertex is a letter code: letter c is vertex c, and z and z^-1 share
+    vertex 0 (no letter's code), since every cut puts both on the sink side.
+    Only the letters the words use are vertices.
     """
-    adj: list[dict[int, int]] = [{} for _ in range(2 * rank + 1)]
-
-    def join(u: int, v: int) -> None:
-        adj[u][v] = adj[u].get(v, 0) + 1
-        adj[v][u] = adj[v].get(u, 0) + 1
-
+    adj: defaultdict[int, dict[int, int]] = defaultdict(dict)
     for w in words:
-        if not w:
-            continue
-        prev = rank
-        for c in w.letters:
-            join(prev, rank - c)
-            prev = rank + c
-        join(prev, rank)
+        if w:
+            path = (0, *w.letters, 0)
+            for u, c in zip(path, path[1:]):
+                adj[u][-c] = adj[u].get(-c, 0) + 1
+                adj[-c][u] = adj[-c].get(u, 0) + 1
     return adj
 
 
-def _min_cut(adj: list[dict[int, int]], source: int,
+def _min_cut(adj: dict[int, dict[int, int]], source: int,
              sinks: tuple[int, ...]) -> tuple[int, set[int]]:
     """Max-flow value from source to the merged sinks, and the source side
     of the minimum cut (the vertices the final residual graph reaches)."""
-    residual = [dict(row) for row in adj]
+    residual = {v: row.copy() for v, row in adj.items()}
     flow = 0
     while True:
         parent = {source: source}
@@ -210,29 +193,25 @@ def _best_cut(words: Sequence[Word], rank: int) -> Optional[WhiteheadAut]:
     Ties go to the first multiplier in letter order (e1, E1, e2, ...); the
     subset is the source side of that multiplier's minimum cut.
     """
-    adj = _whitehead_graph(words, rank)
+    adj = _whitehead_graph(words)
     best_gain = 0
-    best: Optional[tuple[int, set[int]]] = None
-    for x in _letters_in_order(rank):
-        source = rank + x
-        degree = sum(adj[source].values())
+    best: Optional[WhiteheadAut] = None
+    for x in sorted((c for c in adj if c), key=letter_key):
+        degree = sum(adj[x].values())
         if degree <= best_gain:
             continue
-        flow, side = _min_cut(adj, source, (rank, rank - x))
+        flow, side = _min_cut(adj, x, (0, -x))
         if degree - flow > best_gain:
             best_gain = degree - flow
-            best = (x, side)
-    if best is None:
-        return None
-    x, side = best
-    return WhiteheadAut(rank, x, frozenset(v - rank for v in side))
+            best = WhiteheadAut(rank, x, frozenset(side))
+    return best
 
 
 def minimize(words: Sequence[Word], rank: int) -> MinimizationTrace:
     """Greedy descent to the minimal total length in the Aut(F_rank)-orbit.
 
-    Each round solves one minimum cut per multiplier letter on the Whitehead
-    graph of the tuple and applies the cut with the greatest strict length
+    Each round solves one minimum cut per letter the tuple uses on its
+    Whitehead graph and applies the cut with the greatest strict length
     reduction; on a tie, the first multiplier in letter order (e1, E1, e2,
     ...) wins.  At the stopping point no Whitehead automorphism shortens the
     tuple, which certifies minimality.  Descent stops early when the total

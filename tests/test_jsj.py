@@ -8,6 +8,7 @@ from ample.jsj import (
     SurfaceData,
     VertexGroup,
     acl_from_catalog,
+    cap_witness_entries,
     example_jsj,
     serialize,
     singleton_jsj,
@@ -220,6 +221,12 @@ class TestCatalogCap:
         assert sum(len(w) for w in g.vertices[0].generators) == letters
         with pytest.raises(ValueError, match="100000"):
             factory(223)
+
+    def test_ladder_cap_without_building(self):
+        # the check verify_ample makes for clause 4 at i = n - 1
+        cap_witness_entries(222)
+        with pytest.raises(ValueError, match="100128"):
+            cap_witness_entries(223)
 
     def test_example_capped_at_4n(self):
         assert len(example_jsj(25_000).relative_to[0]) == 100_000
