@@ -130,11 +130,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-ample", help="check the four ampleness clauses")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--oracle-bound", type=int, default=None,
-                   help="conjugacy cross-check length bound (default 8, at "
-                        f"most {MAX_ORACLE_BOUND}, env AMPLE_ORACLE_BOUND)")
+                   help="conjugacy cross-check length bound (default "
+                        f"{Config.oracle_bound}, at most {MAX_ORACLE_BOUND}, "
+                        "env AMPLE_ORACLE_BOUND)")
     p.add_argument("--max-rank", type=int, default=None,
                    help="largest allowed Whitehead scan rank; clause 1 at n "
-                        "needs rank 2n (default 24, env AMPLE_MAX_RANK)")
+                        f"needs rank 2n (default {Config.max_rank}, env AMPLE_MAX_RANK)")
     p.add_argument("--json", action="store_true", help="emit the JSON report")
     return parser
 

@@ -3,9 +3,10 @@
 A subgroup graph is stored as a tuple of per-vertex adjacency dicts:
 ``adj[v][code] == w`` means an edge from v to w reading the letter ``code``
 (signed int as in :mod:`ample.words`); the reverse arc ``adj[w][-code] == v``
-is always present.  Graphs are folded, connected, canonically numbered by a
-BFS from the basepoint (vertex 0) with labels visited in sorted order, so
-two graphs represent the same subgroup iff their adjacency tuples are equal.
+is always present, and each row lists its codes in ``letter_key`` order.
+Graphs are folded, connected, canonically numbered by a BFS from the
+basepoint (vertex 0) that walks the rows as stored, so two graphs represent
+the same subgroup iff their adjacency tuples are equal.
 
 A cyclic core is a :class:`SubgroupGraph` too: every vertex has degree >= 2,
 and it is based at the vertex whose BFS numbering encodes least, so two
@@ -44,8 +45,8 @@ class _UnionFind:
 def _fold(num_vertices: int, arcs: Iterable[tuple[int, int, int]]) -> tuple[_UnionFind, Adj]:
     """Fold the graph given by directed arcs (u, code, v); returns (uf, adj).
 
-    The returned adjacency is keyed by union-find representatives; targets may
-    be stale and must be resolved through ``uf.find``.
+    The returned adjacency is keyed by union-find representatives, targets
+    resolved; each row is sorted by ``letter_key`` (the only row sort).
     """
     uf = _UnionFind(num_vertices)
     adj: list[dict[int, int]] = [dict() for _ in range(num_vertices)]
@@ -80,12 +81,12 @@ def _fold(num_vertices: int, arcs: Iterable[tuple[int, int, int]]) -> tuple[_Uni
     result: Adj = {}
     for v in range(num_vertices):
         if uf.find(v) == v:
-            result[v] = {code: uf.find(t) for code, t in adj[v].items()}
+            result[v] = {c: uf.find(adj[v][c]) for c in sorted(adj[v], key=letter_key)}
     return uf, result
 
 
 def _peel(adj: Adj, keep: Optional[int]) -> Adj:
-    """Strip degree<=1 vertices (every vertex except ``keep``, if given)."""
+    """Strip degree<=1 vertices (all but ``keep``, if given); rows keep their order."""
     adj = {v: dict(nbrs) for v, nbrs in adj.items()}
     queue = deque(v for v in adj if v != keep and len(adj[v]) <= 1)
     while queue:
@@ -101,16 +102,14 @@ def _peel(adj: Adj, keep: Optional[int]) -> Adj:
 
 
 def _bfs(adj: Rows, start: int) -> dict[int, Optional[tuple[int, int]]]:
-    """Breadth-first search from ``start`` taking each vertex's arcs in letter
-    order; maps every reached vertex, in visiting order, to its tree arc
-    (parent, code), or to None for ``start`` itself."""
+    """Breadth-first search from ``start`` taking each row's arcs as stored
+    (letter order); maps every reached vertex, in visiting order, to its tree
+    arc (parent, code), or to None for ``start`` itself."""
     tree: dict[int, Optional[tuple[int, int]]] = {start: None}
     queue = deque([start])
     while queue:
         u = queue.popleft()
-        row = adj[u]
-        for code in sorted(row, key=letter_key):
-            t = row[code]
+        for code, t in adj[u].items():
             if t not in tree:
                 tree[t] = (u, code)
                 queue.append(t)
@@ -119,16 +118,14 @@ def _bfs(adj: Rows, start: int) -> dict[int, Optional[tuple[int, int]]]:
 
 def _encoding(adj: Sequence[dict[int, int]]) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Hashable, totally ordered form of a renumbered adjacency tuple."""
+    # Sorted by code, not as stored: the hash must agree with the order-blind
+    # ``__eq__``, and this order picks a cyclic core's start, which reports name.
     return tuple(tuple(sorted(r.items())) for r in adj)
 
 
 def _renumber(adj: Adj, order: list[int]) -> tuple[dict[int, int], ...]:
     pos = {v: i for i, v in enumerate(order)}
-    rows = []
-    for v in order:
-        rows.append({code: pos[adj[v][code]]
-                     for code in sorted(adj[v], key=letter_key)})
-    return tuple(rows)
+    return tuple({code: pos[t] for code, t in adj[v].items()} for v in order)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +133,7 @@ def _renumber(adj: Adj, order: list[int]) -> tuple[dict[int, int], ...]:
 # ---------------------------------------------------------------------------
 
 class SubgroupGraph:
-    """Folded based core graph; basepoint is vertex 0; canonical numbering.
+    """Folded based core graph; basepoint 0; canonical numbering; rows in letter order.
 
     Cyclic cores are instances too (based at their canonical start, their
     own cyclic core); false iff vertex 0 has no arc, i.e. the trivial group.
@@ -202,7 +199,7 @@ def _product(adj1: Rows, adj2: Rows,
              starts: Iterable[tuple[int, int]]) -> tuple[dict[tuple[int, int], int], Adj]:
     """Fiber product of two folded graphs over the vertex pairs reachable from
     ``starts``, each pair numbered in visiting order, ``starts`` first;
-    returns (pair -> number, adjacency over the numbers)."""
+    returns (pair -> number, adjacency over the numbers), rows in adj1's order."""
     order = list(dict.fromkeys(starts))
     ids = {pair: i for i, pair in enumerate(order)}
     adj: Adj = {}
@@ -279,9 +276,8 @@ def basis(g: SubgroupGraph) -> list[Word]:
     tree = _bfs(g.adj, 0)
     words = []
     for u, row in enumerate(g.adj):
-        for code in sorted(c for c in row if c > 0):
-            t = row[code]
-            if tree[t] != (u, code) and tree[u] != (t, -code):
+        for code, t in row.items():
+            if code > 0 and tree[t] != (u, code) and tree[u] != (t, -code):
                 words.append(Word(_path_word(tree, u) + [code]
                                   + [-c for c in reversed(_path_word(tree, t))]))
     return words
@@ -409,7 +405,7 @@ def enumerate_cyclic_classes(core: SubgroupGraph, max_len: int) -> set[CyclicWor
     """All nontrivial conjugacy classes of cyclically reduced length <= max_len
     readable as closed paths in ``core``, up to rotation; a path is dropped
     once the BFS depth of its end from its start says it cannot close."""
-    arcs = [sorted((letter_key(code), code, t) for code, t in row.items())
+    arcs = [[(letter_key(code), code, t) for code, t in row.items()]
             for row in core.adj]
     found: set[tuple[int, ...]] = set()
     for start in range(len(arcs)):

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import random
 import re
 import runpy
 import sys
@@ -12,10 +13,13 @@ import jsonschema
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ample import verifier, whitehead
+from ample import cli, verifier, whitehead
 from ample.cli import main
+from ample.config import Config
 from ample.verifier import REPORT_SCHEMA
-from ample.words import parse_word
+from ample.words import format_word, multiply, parse_word
+
+from conftest import random_reduced_word
 
 
 def run(capsys, *argv):
@@ -129,6 +133,30 @@ class TestSubgroupCommands:
     def test_build_summary(self, capsys):
         code, out, _ = run(capsys, "subgroup", "build", "e1; e2")
         assert code == 0 and "rank=2" in out
+
+    # sha256 of `subgroup basis` and `subgroup intersect` stdout and exit
+    # codes over seeded random generator tuples; basis words are listed in
+    # BFS order, so this pins the order in which the folded rows are walked
+    SUBGROUP_DIGEST = "ee805dd79dd9cd66286b412ca94a6a211ec8c72a6281668cbef23ffbb59a0078"
+
+    def test_subgroup_bytes_pinned(self, capsys):
+        rng = random.Random(0x5AB6)
+        digest = hashlib.sha256()
+        for _ in range(300):
+            rank_ = rng.randint(1, 4)
+            gens = [random_reduced_word(rng, rank_, rng.randint(1, 8))
+                    for _ in range(rng.randint(1, 4))]
+            # products of the first tuple's generators, so that the two
+            # subgroups often meet nontrivially, and one random word
+            others = [multiply(rng.choice(gens), rng.choice(gens))
+                      for _ in range(rng.randint(0, 2))]
+            others.append(random_reduced_word(rng, rank_, rng.randint(1, 8)))
+            text1, text2 = ("; ".join(format_word(w) for w in ws if w)
+                            for ws in (gens, others))
+            for argv in (("basis", text1), ("intersect", text1, text2)):
+                code, out, _ = run(capsys, "subgroup", *argv)
+                digest.update(f"{code}\n{out}".encode())
+        assert digest.hexdigest() == self.SUBGROUP_DIGEST
 
 
 class TestPrimitiveCommand:
@@ -339,6 +367,16 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify-ample", "--n", "1")
         assert code == 0 and "vacuous" in out
 
+    def test_help_reads_config_defaults(self, capsys, monkeypatch):
+        monkeypatch.setattr(Config, "max_rank", 77)
+        monkeypatch.setattr(Config, "oracle_bound", 9)
+        parser = cli._build_parser.__wrapped__()   # the cached one predates the patch
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["verify-ample", "--help"])
+        assert exc.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert "(default 77," in out and "(default 9," in out
+
     def test_json_schema(self, capsys):
         code, out, _ = run(capsys, "verify-ample", "--n", "1", "--json")
         assert code == 0
@@ -412,6 +450,8 @@ class TestVerifyCommand:
         2: "ce1f3a74ab222df8e6b940d1962de15c6c19e487299d12d26a005113c002d80b",
         3: "f7bc04a1c16f144c5eb2dae73f579c232e490a4d40b24b6a01f005136f4ee9ed",
         4: "6f4589eb9974f22fd71727a2765fbe9df105f554b9f61d9e75b0a1276376c3e0",
+        8: "402ead509e26e9e12b7ced430065926ab04df4a75b96819722881276c1cffda5",
+        12: "ca83a8482da27600c2c7bdc5342304316b3b60c2a82162c936d363b9580809a9",
     }
 
     @pytest.mark.parametrize("n", sorted(REPORT_DIGESTS))

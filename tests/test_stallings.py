@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from ample.sequence import witness
 from ample.stallings import (
     SubgroupGraph,
+    _bfs,
     build_core,
     basis,
     conjugacy_intersection,
@@ -22,7 +23,8 @@ from ample.stallings import (
     reads_closed_path,
 )
 from ample.verifier import _conjugacy_part
-from ample.words import CyclicWord, Word, cyclic_reduce, invert, multiply, parse_word
+from ample.words import (
+    CyclicWord, Word, cyclic_reduce, invert, letter_key, multiply, parse_word)
 
 from conftest import all_reduced_words, naive_products, random_reduced_word, words
 
@@ -83,6 +85,22 @@ def bfs_immerses_into(src, dst):
         if ok:
             return True
     return False
+
+
+def sorting_bfs(adj, start):
+    """Reference for ``_bfs``: sorts each row by ``letter_key`` as it pops
+    it, where ``_bfs`` takes the stored row order."""
+    tree = {start: None}
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        row = adj[u]
+        for code in sorted(row, key=letter_key):
+            t = row[code]
+            if t not in tree:
+                tree[t] = (u, code)
+                queue.append(t)
+    return tree
 
 
 @st.composite
@@ -235,6 +253,22 @@ class TestBasisAndRank:
         rng = random.Random(seed)
         _, g = random_subgroup(rng, rng.choice((2, 3)))
         assert equals(build_core(basis(g)), g)
+
+
+class TestRowOrder:
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_stored_in_letter_order(self, data):
+        rank_ = data.draw(st.integers(min_value=1, max_value=4))
+        g1, g2 = (build_core(data.draw(st.lists(words(rank_, 8), max_size=4)))
+                  for _ in range(2))
+        graphs = [g1, g2, intersect(g1, g2), cyclic_core(g1), cyclic_core(g2),
+                  *conjugacy_intersection(g1, g2)]
+        for g in graphs:
+            for row in g.adj:
+                assert list(row) == sorted(row, key=letter_key)
+            for start in range(g.num_vertices):
+                assert list(_bfs(g.adj, start).items()) == list(sorting_bfs(g.adj, start).items())
 
 
 class TestEquals:
