@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Optional, Sequence
 
-from .words import Word, CyclicWord, cyclic_reduce, letter_key
+from .words import Word, cyclic_reduce, letter_key
 
 Adj = dict[int, dict[int, int]]
 Rows = Sequence[dict[int, int]] | Adj   # adjacency rows of a tuple or a raw graph
@@ -299,12 +299,28 @@ def intersect(g1: SubgroupGraph, g2: SubgroupGraph) -> SubgroupGraph:
 _IS_CORE = object()
 
 
+def _first_row(row: dict[int, int], start: int) -> tuple[tuple[int, int], ...]:
+    """Row 0 of the ``_encoding`` of the numbering from ``start``, read off
+    its own arcs: a loop maps to 0, other targets to 1, 2, ... in stored row
+    order (as ``_bfs`` meets them), sorted by code."""
+    ids = {start: 0}
+    for t in row.values():
+        ids.setdefault(t, len(ids))
+    return tuple(sorted((code, ids[t]) for code, t in row.items()))
+
+
 def _cyclic_graph(adj: Adj) -> SubgroupGraph:
     """Cyclic core of a connected folded graph: every degree<=1 vertex
     peeled, then numbered from the start whose numbering encodes least (the
-    one-vertex graph if nothing is left); the result is its own core."""
+    one-vertex graph if nothing is left); the result is its own core.
+
+    ``_encoding`` compares row 0 first, so only the starts whose first row
+    is least can win, and only they are numbered in full."""
     adj = _peel(adj, keep=None)
-    core = SubgroupGraph(min((_renumber(adj, list(_bfs(adj, start))) for start in adj),
+    firsts = {start: _first_row(row, start) for start, row in adj.items()}
+    least = min(firsts.values(), default=None)
+    core = SubgroupGraph(min((_renumber(adj, list(_bfs(adj, start)))
+                              for start, first in firsts.items() if first == least),
                              key=_encoding, default=({},)))
     object.__setattr__(core, "_core", _IS_CORE)
     return core
@@ -383,28 +399,38 @@ def immerses_into(src: SubgroupGraph, dst: SubgroupGraph) -> bool:
 
 def _extend(arcs: list[list[tuple[int, int, int]]], dist: list[int], max_len: int,
             found: set[tuple[int, ...]], start: int, v: int, path: list[int],
-            first: int) -> None:
+            ranks: list[int], period: int) -> None:
     """Record every closed cyclically reduced path of length <= max_len that
-    extends ``path`` (start -> v) with no letter ranked below its first one
-    (rank ``first``; 0 while the path is empty): each class has a rotation
-    that starts at its least letter."""
+    extends ``path`` (start -> v, letter ranks ``ranks``) and is its own
+    least rotation.
+
+    The path is kept a prenecklace (Fredricksen-Kessler-Maiorana): a letter
+    ranked below the one ``period`` places back is skipped, and one ranked
+    above it makes the whole path the new period.  A prenecklace is its
+    least rotation iff its period divides its length, so each class comes
+    out once per start that reads it, as its least rotation."""
     depth = len(path) + 1
     back = -path[-1] if path else 0
+    least = ranks[-period] if path else 0
     for rank_, code, t in arcs[v]:
-        if rank_ < first or code == back or depth + dist[t] > max_len:
+        if rank_ < least or code == back or depth + dist[t] > max_len:
             continue
+        next_period = depth if rank_ > least else period
         path.append(code)
-        if t == start and path[0] != -code:
+        ranks.append(rank_)
+        if t == start and depth % next_period == 0 and path[0] != -code:
             found.add(tuple(path))
         if depth < max_len:
-            _extend(arcs, dist, max_len, found, start, t, path, first or rank_)
+            _extend(arcs, dist, max_len, found, start, t, path, ranks, next_period)
         path.pop()
+        ranks.pop()
 
 
-def enumerate_cyclic_classes(core: SubgroupGraph, max_len: int) -> set[CyclicWord]:
+def enumerate_cyclic_classes(core: SubgroupGraph, max_len: int) -> set[tuple[int, ...]]:
     """All nontrivial conjugacy classes of cyclically reduced length <= max_len
-    readable as closed paths in ``core``, up to rotation; a path is dropped
-    once the BFS depth of its end from its start says it cannot close."""
+    readable as closed paths in ``core``, each as its least rotation under
+    ``letter_key`` (``words.least_rotation``); a path is dropped once the BFS
+    depth of its end from its start says it cannot close."""
     arcs = [[(letter_key(code), code, t) for code, t in row.items()]
             for row in core.adj]
     found: set[tuple[int, ...]] = set()
@@ -413,5 +439,5 @@ def enumerate_cyclic_classes(core: SubgroupGraph, max_len: int) -> set[CyclicWor
         for v, arc in _bfs(core.adj, start).items():
             if arc is not None:
                 dist[v] = dist[arc[0]] + 1
-        _extend(arcs, dist, max_len, found, start, start, [], 0)
-    return {CyclicWord(path) for path in found}
+        _extend(arcs, dist, max_len, found, start, start, [], [], 0)
+    return found

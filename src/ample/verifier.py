@@ -16,9 +16,10 @@ core of the expected meet h0 (a single-conjugator certificate; a component
 that does not immerse fails the clause, and in clause 3, whose h0 is
 trivial, every component does) plus a bounded-length enumeration
 cross-check whose bound L is always recorded: the classes of length <= L
-the two cyclic cores share, listed component by component, must each read
-a closed path in the cyclic core of h0.  Reports state what was checked,
-they do not claim unconditional proof of the conjugacy-closure equality.
+the two cyclic cores share, listed component by component, each once as
+its least rotation, must each read a closed path in the cyclic core of h0.
+Reports state what was checked, they do not claim unconditional proof of
+the conjugacy-closure equality.
 """
 
 from __future__ import annotations
@@ -286,7 +287,7 @@ def _conjugacy_part(h1: SubgroupGraph, h2: SubgroupGraph, h0: SubgroupGraph,
                      "witness": format_word(basis(comp)[0])}
                     for idx, comp in enumerate(components))
     common = set().union(*(enumerate_cyclic_classes(comp, bound) for comp in components))
-    oracle_ok = all(reads_closed_path(h0_core, cw.letters) for cw in common)
+    oracle_ok = all(reads_closed_path(h0_core, codes) for codes in common)
     return all(r["ok"] for r in reports) and oracle_ok, reports, len(common), oracle_ok
 
 

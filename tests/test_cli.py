@@ -463,6 +463,23 @@ class TestVerifyCommand:
         assert code == 0
         assert hashlib.sha256(blanked.encode()).hexdigest() == self.REPORT_DIGESTS[n]
 
+    # the same digest for `verify-ample --n 6 --oracle-bound L --json`: the
+    # oracle's class counts are pinned at bounds other than the default
+    BOUND_DIGESTS = {
+        4: "99b5a7678926caf2fed5d61f484065801d12633fc9501f0791c314dc39faab0d",
+        10: "bcb395f521d0410b51c65013f6bee8cc301328739ee8430223bdd90f0bf03a3e",
+        12: "fba63c5bf23da2a90744eeafa8c280089a94ea86bea5a63e7eb8142b40f12faf",
+    }
+
+    @pytest.mark.parametrize("bound", sorted(BOUND_DIGESTS))
+    def test_report_bytes_pinned_at_bound(self, capsys, monkeypatch, bound):
+        monkeypatch.delenv("AMPLE_MAX_RANK", raising=False)
+        code, out, _ = run(capsys, "verify-ample", "--n", "6",
+                           "--oracle-bound", str(bound), "--json")
+        blanked = re.sub(r'"millis": [^,\n]+', '"millis": 0', out)
+        assert code == 0
+        assert hashlib.sha256(blanked.encode()).hexdigest() == self.BOUND_DIGESTS[bound]
+
 
 class TestRunVerificationScript:
     SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_verification.py"

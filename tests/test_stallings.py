@@ -8,6 +8,9 @@ from ample.sequence import witness
 from ample.stallings import (
     SubgroupGraph,
     _bfs,
+    _encoding,
+    _peel,
+    _renumber,
     build_core,
     basis,
     conjugacy_intersection,
@@ -24,7 +27,7 @@ from ample.stallings import (
 )
 from ample.verifier import _conjugacy_part
 from ample.words import (
-    CyclicWord, Word, cyclic_reduce, invert, letter_key, multiply, parse_word)
+    Word, cyclic_reduce, invert, least_rotation, letter_key, multiply, parse_word)
 
 from conftest import all_reduced_words, naive_products, random_reduced_word, words
 
@@ -33,7 +36,7 @@ W = parse_word
 
 def brute_force_cyclic_classes(core, max_len):
     """Every cyclically reduced word of length <= max_len over the core's
-    letters that reads a closed path from some vertex, up to rotation.
+    letters that reads a closed path from some vertex, as its least rotation.
 
     Words are listed by length and a prefix is dropped once it reads no path
     from any vertex, since no extension of it can then read a closed one.
@@ -54,7 +57,7 @@ def brute_force_cyclic_classes(core, max_len):
                 new = codes + (c,)
                 nxt.append((new, new_ends))
                 if new[0] != -new[-1] and any(s == e for s, e in new_ends):
-                    classes.add(CyclicWord(new))
+                    classes.add(least_rotation(new))
         frontier = nxt
     return classes
 
@@ -101,6 +104,15 @@ def sorting_bfs(adj, start):
                 tree[t] = (u, code)
                 queue.append(t)
     return tree
+
+
+def all_starts_cyclic_core(adj):
+    """Reference for ``_cyclic_graph``'s numbering: peel, then number from
+    every start and keep the least encoding, where ``_cyclic_graph`` numbers
+    only the starts whose first row is least."""
+    adj = _peel(adj, keep=None)
+    return min((_renumber(adj, list(_bfs(adj, start))) for start in adj),
+               key=_encoding, default=({},))
 
 
 @st.composite
@@ -352,6 +364,17 @@ class TestCyclicCore:
                                            build_core([W("e1"), W("e2")])):
             assert cyclic_core(comp) is comp
 
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_least_first_row_starts_match_all_starts(self, data):
+        rank_ = data.draw(st.integers(min_value=1, max_value=4))
+        g1, g2 = (build_core(data.draw(st.lists(words(rank_, 8), max_size=4)))
+                  for _ in range(2))
+        for g in (g1, g2):
+            assert cyclic_core(g).adj == all_starts_cyclic_core(dict(enumerate(g.adj)))
+        for comp in conjugacy_intersection(g1, g2):
+            assert comp.adj == all_starts_cyclic_core(dict(enumerate(comp.adj)))
+
 
 class TestImmersion:
     def test_examples(self):
@@ -414,8 +437,8 @@ class TestConjugacy:
         # bounded-length oracle, L = 8: every common class is an e1-power class
         common = (enumerate_cyclic_classes(cyclic_core(h1), 8)
                   & enumerate_cyclic_classes(cyclic_core(h2), 8))
-        for cls in common:
-            assert is_conjugate_into(cls.to_word(), h0)
+        for codes in common:
+            assert is_conjugate_into(Word(codes), h0)
 
     def test_conjugacy_oracle_random(self, rng):
         for _ in range(25):
@@ -448,9 +471,7 @@ class TestConjugacy:
     def test_enumerate_cyclic_classes_circle(self):
         core = cyclic_core(build_core([W("e1")]))
         classes = enumerate_cyclic_classes(core, 3)
-        expected = {CyclicWord((1,)), CyclicWord((-1,)),
-                    CyclicWord((1, 1)), CyclicWord((-1, -1)),
-                    CyclicWord((1, 1, 1)), CyclicWord((-1, -1, -1))}
+        expected = {(1,), (-1,), (1, 1), (-1, -1), (1, 1, 1), (-1, -1, -1)}
         assert classes == expected
 
     @given(data=st.data())
@@ -462,6 +483,19 @@ class TestConjugacy:
         core = cyclic_core(build_core(gens))
         assert (enumerate_cyclic_classes(core, max_len)
                 == brute_force_cyclic_classes(core, max_len))
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_enumerated_classes_are_least_rotations(self, data):
+        rank_ = data.draw(st.integers(min_value=1, max_value=4))
+        gens = data.draw(st.lists(words(rank_, 6), min_size=1, max_size=3))
+        max_len = data.draw(st.integers(min_value=1, max_value=7))
+        core = cyclic_core(build_core(gens))
+        for codes in enumerate_cyclic_classes(core, max_len):
+            assert 0 < len(codes) <= max_len
+            assert codes == least_rotation(codes)
+            assert cyclic_reduce(Word(codes))[0].letters == codes
+            assert reads_closed_path(core, codes)
 
     @given(case=sharing_pairs())
     @example(case=([W("e1")], [], 4))                  # empty second core
