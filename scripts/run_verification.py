@@ -19,20 +19,19 @@ from ample.verifier import ResourceLimitError, verify_ample
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=3)
-    parser.add_argument("--oracle-bound", type=int, default=None)
-    parser.add_argument("--max-rank", type=int, default=None)
+    parser.add_argument("--oracle-bound", type=int, default=Config.oracle_bound)
+    parser.add_argument("--max-rank", type=int, default=Config.max_rank)
     parser.add_argument("--out-dir", type=Path, default=None,
                         help="write report-n<k>.json files here")
     args = parser.parse_args()
 
     try:
-        config = Config.from_env(max_rank=args.max_rank,
-                                 oracle_bound=args.oracle_bound)
-    except ValueError as exc:
+        config = Config(max_rank=args.max_rank, oracle_bound=args.oracle_bound)
+        if args.out_dir:
+            args.out_dir.mkdir(parents=True, exist_ok=True)
+    except (ValueError, OSError) as exc:
         print(f"run_verification: {exc}", file=sys.stderr)
         return 2
-    if args.out_dir:
-        args.out_dir.mkdir(parents=True, exist_ok=True)
 
     all_pass = True
     for n in range(1, args.max_n + 1):
@@ -48,7 +47,11 @@ def main() -> int:
         all_pass = all_pass and report.overall
         if args.out_dir:
             path = args.out_dir / f"report-n{n}.json"
-            path.write_text(report.to_json() + "\n")
+            try:
+                path.write_text(report.to_json() + "\n")
+            except OSError as exc:
+                print(f"run_verification: {exc}", file=sys.stderr)
+                return 2
             print(f"  wrote {path}")
     return 0 if all_pass else 1
 

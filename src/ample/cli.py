@@ -44,16 +44,6 @@ def _parse_words_arg(text: str) -> list[Word]:
     return [parse_word(part) for part in text.split(";")]
 
 
-def _compress_support(w: Word, rank: int) -> Word:
-    """Relabel the word's distinct generator indices onto e1..e<k>."""
-    support = sorted({abs(c) for c in w.letters})
-    if len(support) > rank:
-        raise ValueError(
-            f"word uses {len(support)} distinct generators, rank is {rank}")
-    new_index = {idx: new for new, idx in enumerate(support, start=1)}
-    return Word(new_index[abs(c)] * (1 if c > 0 else -1) for c in w.letters)
-
-
 def _bool_exit(value: bool) -> int:
     print("true" if value else "false")
     return 0 if value else 1
@@ -97,9 +87,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "primitive", help="is the word primitive in F_rank?",
-        epilog="the word is relabelled onto e1..e<k> (k = number of "
-               "distinct indices, which must be <= rank) and checked in F_k; "
-               "primitivity is preserved by this.")
+        epilog="the word may use at most rank distinct indices; it is checked "
+               "on the letters it uses, at its largest index.")
     p.add_argument("word")
     p.add_argument("--rank", type=int, required=True)
 
@@ -129,13 +118,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-ample", help="check the four ampleness clauses")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--oracle-bound", type=int, default=None,
+    p.add_argument("--oracle-bound", type=int, default=Config.oracle_bound,
                    help="conjugacy cross-check length bound (default "
-                        f"{Config.oracle_bound}, at most {MAX_ORACLE_BOUND}, "
-                        "env AMPLE_ORACLE_BOUND)")
-    p.add_argument("--max-rank", type=int, default=None,
+                        f"{Config.oracle_bound}, at most {MAX_ORACLE_BOUND})")
+    p.add_argument("--max-rank", type=int, default=Config.max_rank,
                    help="largest allowed Whitehead scan rank; clause 1 at n "
-                        f"needs rank 2n (default {Config.max_rank}, env AMPLE_MAX_RANK)")
+                        f"needs rank 2n (default {Config.max_rank}, "
+                        f"so n <= {Config.max_rank // 2})")
     p.add_argument("--json", action="store_true", help="emit the JSON report")
     return parser
 
@@ -216,8 +205,7 @@ def _run_jsj(args) -> int:
 
 
 def _run_verify(args) -> int:
-    config = Config.from_env(max_rank=args.max_rank,
-                             oracle_bound=args.oracle_bound)
+    config = Config(max_rank=args.max_rank, oracle_bound=args.oracle_bound)
     try:
         report = verify_ample(args.n, config)
     except ResourceLimitError as exc:
@@ -239,7 +227,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "subgroup":
             return _run_subgroup(args)
         if args.command == "primitive":
-            w = _compress_support(parse_word(args.word), args.rank)
+            w = parse_word(args.word)
+            distinct = len({abs(c) for c in w.letters})
+            if distinct > args.rank:
+                raise ValueError(f"word uses {distinct} distinct generators, "
+                                 f"rank is {args.rank}")
             return _bool_exit(whitehead.is_primitive(w, w.max_index()))
         if args.command == "minimize":
             words = [parse_word(t) for t in args.words]

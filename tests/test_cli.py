@@ -17,7 +17,7 @@ from ample import cli, verifier, whitehead
 from ample.cli import main
 from ample.config import Config
 from ample.verifier import REPORT_SCHEMA
-from ample.words import format_word, multiply, parse_word
+from ample.words import Word, format_word, multiply, parse_word
 
 from conftest import random_reduced_word
 
@@ -172,12 +172,12 @@ class TestPrimitiveCommand:
         code, _, err = run(capsys, "primitive", "e1 e2 e3", "--rank", "2")
         assert code == 2 and "distinct generators" in err
 
-    def test_scans_at_support_size(self, capsys, monkeypatch):
+    def test_scans_at_largest_index(self, capsys, monkeypatch):
         ranks = spy_scan_ranks(monkeypatch)
         code, out, _ = run(capsys, "primitive", "e5 e9 E5 e9", "--rank", "10000")
-        assert code == 1 and out == "false\n" and ranks == [2]
+        assert code == 1 and out == "false\n" and ranks == [9]
         code, out, _ = run(capsys, "primitive", "e4 [e7,e9]", "--rank", "10000")
-        assert code == 0 and out == "true\n" and ranks == [2, 3]
+        assert code == 0 and out == "true\n" and ranks == [9, 9]
 
 
 class TestMinimizeCommand:
@@ -231,6 +231,25 @@ def test_whitehead_commands_fuzz(capsys, command, texts, rank):
     largest = max(parse_word(text).max_index() for text in argv[1:])
     if largest <= rank:
         assert run(capsys, *argv, "--rank", str(largest))[:2] == (code, out)
+
+
+def relabelled_primitive_exit(text: str, rank: int) -> int:
+    """Reference: relabel the word's indices onto e1..e<k>, then scan in F_k."""
+    w = parse_word(text)
+    support = sorted({abs(c) for c in w.letters})
+    if len(support) > rank:
+        return 2
+    new_index = {idx: new for new, idx in enumerate(support, start=1)}
+    relabelled = Word(new_index[abs(c)] * (1 if c > 0 else -1) for c in w.letters)
+    return 0 if whitehead.is_primitive(relabelled, len(support)) else 1
+
+
+@given(text=WORD_TEXTS, rank=st.integers(-2, 8))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_primitive_matches_relabelled_scan(capsys, text, rank):
+    code, _, _ = run(capsys, "primitive", text, "--rank", str(rank))
+    assert code == relabelled_primitive_exit(text, rank)
 
 
 class TestBasicSortCommand:
@@ -400,7 +419,6 @@ class TestVerifyCommand:
             raise AssertionError("a clause ran")
 
         monkeypatch.setattr(verifier, "check_clause1", no_clause)
-        monkeypatch.delenv("AMPLE_MAX_RANK", raising=False)
         code, out, err = run(capsys, "verify-ample", "--n", "224", "--max-rank", "448")
         assert_usage_error(code, out, err)
         assert "100000" in err
@@ -414,21 +432,9 @@ class TestVerifyCommand:
         payload = json.loads(out)
         assert payload["config"]["oracle_bound"] == 6
 
-    def test_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("AMPLE_ORACLE_BOUND", "5")
-        code, out, _ = run(capsys, "verify-ample", "--n", "1", "--json")
-        payload = json.loads(out)
-        assert payload["config"]["oracle_bound"] == 5
-        # flag wins over environment
-        code, out, _ = run(capsys, "verify-ample", "--n", "1", "--json",
-                           "--oracle-bound", "7")
-        payload = json.loads(out)
-        assert payload["config"]["oracle_bound"] == 7
-
-    def test_env_max_rank_limits(self, capsys, monkeypatch):
-        monkeypatch.setenv("AMPLE_MAX_RANK", "2")
-        code, _, _ = run(capsys, "verify-ample", "--n", "2")
-        assert code == 3
+    def test_max_rank_flag_limits(self, capsys):
+        code, _, err = run(capsys, "verify-ample", "--n", "2", "--max-rank", "2")
+        assert code == 3 and "resource limit" in err
 
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -438,10 +444,6 @@ class TestVerifyCommand:
     def test_oracle_bound_above_cap_flag(self, capsys):
         assert_usage_error(*run(capsys, "verify-ample", "--n", "2",
                                 "--oracle-bound", "990"))
-
-    def test_oracle_bound_above_cap_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("AMPLE_ORACLE_BOUND", "990")
-        assert_usage_error(*run(capsys, "verify-ample", "--n", "2"))
 
     # sha256 of the `verify-ample --n N --json` output with every millis
     # value blanked; a change to the report must update these digests
@@ -455,13 +457,20 @@ class TestVerifyCommand:
     }
 
     @pytest.mark.parametrize("n", sorted(REPORT_DIGESTS))
-    def test_report_bytes_pinned(self, capsys, monkeypatch, n):
-        monkeypatch.delenv("AMPLE_MAX_RANK", raising=False)
-        monkeypatch.delenv("AMPLE_ORACLE_BOUND", raising=False)
+    def test_report_bytes_pinned(self, capsys, n):
         code, out, _ = run(capsys, "verify-ample", "--n", str(n), "--json")
         blanked = re.sub(r'"millis": [^,\n]+', '"millis": 0', out)
         assert code == 0
         assert hashlib.sha256(blanked.encode()).hexdigest() == self.REPORT_DIGESTS[n]
+
+    def test_environment_does_not_change_report(self, capsys, monkeypatch):
+        # only flags set the run: exported bounds must not reach the report
+        monkeypatch.setenv("AMPLE_MAX_RANK", "2")
+        monkeypatch.setenv("AMPLE_ORACLE_BOUND", "12")
+        code, out, _ = run(capsys, "verify-ample", "--n", "2", "--json")
+        blanked = re.sub(r'"millis": [^,\n]+', '"millis": 0', out)
+        assert code == 0
+        assert hashlib.sha256(blanked.encode()).hexdigest() == self.REPORT_DIGESTS[2]
 
     # the same digest for `verify-ample --n 6 --oracle-bound L --json`: the
     # oracle's class counts are pinned at bounds other than the default
@@ -472,8 +481,7 @@ class TestVerifyCommand:
     }
 
     @pytest.mark.parametrize("bound", sorted(BOUND_DIGESTS))
-    def test_report_bytes_pinned_at_bound(self, capsys, monkeypatch, bound):
-        monkeypatch.delenv("AMPLE_MAX_RANK", raising=False)
+    def test_report_bytes_pinned_at_bound(self, capsys, bound):
         code, out, _ = run(capsys, "verify-ample", "--n", "6",
                            "--oracle-bound", str(bound), "--json")
         blanked = re.sub(r'"millis": [^,\n]+', '"millis": 0', out)
@@ -498,3 +506,16 @@ class TestRunVerificationScript:
     def test_bad_oracle_bound_usage_error(self, capsys, monkeypatch, bound):
         assert_usage_error(*self.run_script(capsys, monkeypatch, "--oracle-bound", bound),
                            prefix="run_verification: ")
+
+    def test_unwritable_out_dir_exits_2(self, capsys, monkeypatch, tmp_path):
+        not_a_dir = tmp_path / "report.txt"
+        not_a_dir.write_text("")
+        assert_usage_error(*self.run_script(capsys, monkeypatch, "--out-dir", str(not_a_dir)),
+                           prefix="run_verification: ")
+
+    def test_unwritable_report_exits_2(self, capsys, monkeypatch, tmp_path):
+        (tmp_path / "report-n1.json").mkdir()
+        code, _, err = self.run_script(capsys, monkeypatch, "--max-n", "1",
+                                       "--out-dir", str(tmp_path))
+        assert code == 2 and err.startswith("run_verification: ")
+        assert "Traceback" not in err

@@ -81,3 +81,22 @@ def test_no_dead_private_names(path):
             for name, line in sorted(_private_definitions(tree).items(), key=lambda kv: kv[1])
             if name not in used]
     assert dead == []
+
+
+def _environment_reads(tree: ast.Module) -> list[int]:
+    """Lines that read the process environment through ``os``."""
+    names = {"environ", "environb", "getenv", "getenvb"}
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in names
+             and isinstance(node.value, ast.Name) and node.value.id == "os"]
+    lines += [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module == "os"
+              and any(alias.name in names for alias in node.names)]
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_environment_reads(path):
+    # run settings come from arguments only, so a report is replayable from them
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert [f"{path.name}:{line}" for line in _environment_reads(tree)] == []
