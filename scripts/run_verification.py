@@ -26,6 +26,8 @@ def main() -> int:
     args = parser.parse_args()
 
     try:
+        if args.max_n < 1:
+            raise ValueError("--max-n must be >= 1")
         config = Config(max_rank=args.max_rank, oracle_bound=args.oracle_bound)
         if args.out_dir:
             args.out_dir.mkdir(parents=True, exist_ok=True)

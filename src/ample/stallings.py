@@ -6,7 +6,8 @@ A subgroup graph is stored as a tuple of per-vertex adjacency dicts:
 is always present, and each row lists its codes in ``letter_key`` order.
 Graphs are folded, connected, canonically numbered by a BFS from the
 basepoint (vertex 0) that walks the rows as stored, so two graphs represent
-the same subgroup iff their adjacency tuples are equal.
+the same subgroup iff their adjacency tuples are equal.  Each path is read
+along the arcs already folded and only its unread part added (Stallings).
 
 A cyclic core is a :class:`SubgroupGraph` too: every vertex has degree >= 2,
 and it is based at the vertex whose BFS numbering encodes least, so two
@@ -29,60 +30,69 @@ Rows = Sequence[dict[int, int]] | Adj   # adjacency rows of a tuple or a raw gra
 # Folding
 # ---------------------------------------------------------------------------
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+def _fold(named: int, paths: Iterable[tuple[int, Sequence[int], int]]) -> tuple[list[int], Adj]:
+    """Fold the paths (start, codes, end) between the named vertices
+    0..named-1; returns (each named vertex's representative, adjacency).
 
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
+    Each path is read forward from its start, then backward from its end,
+    along the arcs already there; only the unread middle gets fresh
+    vertices.  Vertices merge (and the folds cascade) only where the reads
+    meet: the middle is empty, or start = end and the middle reads
+    c ... c^-1, so its last arc clashes with its first.  Rows are keyed by
+    representatives, targets resolved, sorted by ``letter_key`` (the only
+    row sort)."""
+    adj: list[dict[int, int]] = [{} for _ in range(named)]
+    parent = list(range(named))
 
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
 
-def _fold(num_vertices: int, arcs: Iterable[tuple[int, int, int]]) -> tuple[_UnionFind, Adj]:
-    """Fold the graph given by directed arcs (u, code, v); returns (uf, adj).
-
-    The returned adjacency is keyed by union-find representatives, targets
-    resolved; each row is sorted by ``letter_key`` (the only row sort).
-    """
-    uf = _UnionFind(num_vertices)
-    adj: list[dict[int, int]] = [dict() for _ in range(num_vertices)]
-    pending: deque[tuple[int, int]] = deque()
-
-    def add_arc(u: int, code: int, v: int) -> None:
-        u = uf.find(u)
-        cur = adj[u].get(code)
-        if cur is None:
-            adj[u][code] = v
-        else:
-            cur = uf.find(cur)
-            v = uf.find(v)
-            if cur != v:
-                pending.append((cur, v))
-
-    for u, code, v in arcs:
-        add_arc(u, code, v)
-        add_arc(v, -code, u)
+    def merge(a: int, b: int) -> None:
+        pending = [(a, b)]
         while pending:
-            a, b = pending.popleft()
-            a, b = uf.find(a), uf.find(b)
+            a, b = pending.pop()
+            a, b = find(a), find(b)
             if a == b:
                 continue
             if len(adj[a]) < len(adj[b]):
                 a, b = b, a
-            uf.parent[b] = a
-            moved = adj[b]
+            parent[b] = a
+            row = adj[a]
+            for code, t in adj[b].items():
+                cur = row.setdefault(code, t)
+                if cur != t:
+                    pending.append((cur, t))
             adj[b] = {}
-            for code2, tgt in moved.items():
-                add_arc(a, code2, tgt)
-    result: Adj = {}
-    for v in range(num_vertices):
-        if uf.find(v) == v:
-            result[v] = {c: uf.find(adj[v][c]) for c in sorted(adj[v], key=letter_key)}
-    return uf, result
+
+    for start, codes, end in paths:
+        i, j = 0, len(codes)
+        u, v = find(start), find(end)
+        while i < j and (t := adj[u].get(codes[i])) is not None:
+            u = t if parent[t] == t else find(t)
+            i += 1
+        while j > i and (t := adj[v].get(-codes[j - 1])) is not None:
+            v = t if parent[t] == t else find(t)
+            j -= 1
+        if i == j:
+            merge(u, v)
+            continue
+        for code in codes[i:j - 1]:
+            w = len(adj)
+            adj[u][code] = w
+            adj.append({-code: u})
+            parent.append(w)
+            u = w
+        code = codes[j - 1]
+        adj[u][code] = v
+        first = adj[v].setdefault(-code, u)
+        if first != u:
+            merge(first, u)
+    root = [v if p == v else find(v) for v, p in enumerate(parent)]
+    rows = {v: {c: root[row[c]] for c in sorted(row, key=letter_key)}
+            for v, row in enumerate(adj) if root[v] == v}
+    return root[:named], rows
 
 
 def _peel(adj: Adj, keep: Optional[int]) -> Adj:
@@ -123,9 +133,17 @@ def _encoding(adj: Sequence[dict[int, int]]) -> tuple[tuple[tuple[int, int], ...
     return tuple(tuple(sorted(r.items())) for r in adj)
 
 
-def _renumber(adj: Adj, order: list[int]) -> tuple[dict[int, int], ...]:
-    pos = {v: i for i, v in enumerate(order)}
-    return tuple({code: pos[t] for code, t in adj[v].items()} for v in order)
+def _renumber(adj: Rows, start: int) -> tuple[dict[int, int], ...]:
+    """Adjacency tuple of the vertices reached from ``start``, numbered in
+    one pass in the order a BFS walking the rows as stored meets them."""
+    pos = {start: 0}
+    order = [start]
+    for v in order:   # order grows as vertices are met
+        for t in adj[v].values():
+            if t not in pos:
+                pos[t] = len(order)
+                order.append(t)
+    return tuple([{code: pos[t] for code, t in adj[v].items()} for v in order])
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +171,7 @@ class SubgroupGraph:
     @staticmethod
     def _from_raw(adj: Adj, base: int) -> "SubgroupGraph":
         """Canonical form of a connected folded graph based at ``base``."""
-        adj = _peel(adj, keep=base)
-        return SubgroupGraph(_renumber(adj, list(_bfs(adj, base))))
+        return SubgroupGraph(_renumber(_peel(adj, keep=base), base))
 
     @property
     def num_vertices(self) -> int:
@@ -181,20 +198,6 @@ class SubgroupGraph:
 # Operations
 # ---------------------------------------------------------------------------
 
-def _path_arcs(arcs: list[tuple[int, int, int]], codes: tuple[int, ...],
-               start: int, end: int, next_v: int) -> int:
-    """Append the arcs of a path reading ``codes`` from start to end through
-    fresh vertices numbered from next_v (no arcs for the empty word);
-    returns the next unused vertex."""
-    prev = start
-    for code in codes[:-1]:
-        arcs.append((prev, code, next_v))
-        prev, next_v = next_v, next_v + 1
-    if codes:
-        arcs.append((prev, codes[-1], end))
-    return next_v
-
-
 def _product(adj1: Rows, adj2: Rows,
              starts: Iterable[tuple[int, int]]) -> tuple[dict[tuple[int, int], int], Adj]:
     """Fiber product of two folded graphs over the vertex pairs reachable from
@@ -217,13 +220,12 @@ def _product(adj1: Rows, adj2: Rows,
 
 
 def build_core(generators: Sequence[Word]) -> SubgroupGraph:
-    """Folded based core graph of the subgroup generated by the given words."""
-    arcs: list[tuple[int, int, int]] = []
-    next_v = 1
-    for w in generators:
-        next_v = _path_arcs(arcs, w.letters, 0, 0, next_v)
-    uf, adj = _fold(next_v, arcs)
-    return SubgroupGraph._from_raw(adj, uf.find(0))
+    """Folded based core graph of the subgroup generated by the given words.
+
+    Nothing is peeled: every vertex but the basepoint lies on the image of a
+    freely reduced word, a reduced path in a folded graph, so has degree >= 2."""
+    reps, adj = _fold(1, [(0, w.letters, 0) for w in generators])
+    return SubgroupGraph(_renumber(adj, reps[0]))
 
 
 def contains(g: SubgroupGraph, w: Word) -> bool:
@@ -242,18 +244,15 @@ def in_double_coset(h_gens: Sequence[Word], b1: Word, k_gens: Sequence[Word], b2
 
     That holds iff <h_gens> meets the coset b2 <k_gens> b1^-1, whose elements
     are the labels of the paths s -> f in the folded graph of a b2 path
-    s -> t, the k loops at t and a b1 path f -> t; so it holds iff the
-    product of that graph with the core of <h_gens> joins (0, s) to (0, f).
+    s -> t, the k loops at t and a b1 path f -> t (an empty b1 or b2 path
+    merges its ends); so it holds iff the product of that graph with the
+    core of <h_gens> joins (0, s) to (0, f).
     """
-    t, s, f = 0, (1 if b2 else 0), (2 if b1 else 0)
-    arcs: list[tuple[int, int, int]] = []
-    next_v = _path_arcs(arcs, b2.letters, s, t, 3)
-    next_v = _path_arcs(arcs, b1.letters, f, t, next_v)
-    for w in k_gens:
-        next_v = _path_arcs(arcs, w.letters, t, t, next_v)
-    uf, coset = _fold(next_v, arcs)
-    reached, _ = _product(build_core(h_gens).adj, coset, [(0, uf.find(s))])
-    return (0, uf.find(f)) in reached
+    t, s, f = 0, 1, 2
+    reps, coset = _fold(3, [(s, b2.letters, t), (f, b1.letters, t),
+                            *((t, w.letters, t) for w in k_gens)])
+    reached, _ = _product(build_core(h_gens).adj, coset, [(0, reps[s])])
+    return (0, reps[f]) in reached
 
 
 def rank(g: SubgroupGraph) -> int:
@@ -319,7 +318,7 @@ def _cyclic_graph(adj: Adj) -> SubgroupGraph:
     adj = _peel(adj, keep=None)
     firsts = {start: _first_row(row, start) for start, row in adj.items()}
     least = min(firsts.values(), default=None)
-    core = SubgroupGraph(min((_renumber(adj, list(_bfs(adj, start)))
+    core = SubgroupGraph(min((_renumber(adj, start)
                               for start, first in firsts.items() if first == least),
                              key=_encoding, default=({},)))
     object.__setattr__(core, "_core", _IS_CORE)

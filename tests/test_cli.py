@@ -502,6 +502,12 @@ class TestRunVerificationScript:
         code, out, _ = self.run_script(capsys, monkeypatch, "--max-n", "2")
         assert code == 0 and "n=2: pass" in out
 
+    @pytest.mark.parametrize("max_n", ["0", "-1"])
+    def test_max_n_below_one_usage_error(self, capsys, monkeypatch, max_n):
+        code, out, err = self.run_script(capsys, monkeypatch, "--max-n", max_n)
+        assert_usage_error(code, out, err, prefix="run_verification: ")
+        assert err == "run_verification: --max-n must be >= 1\n"
+
     @pytest.mark.parametrize("bound", ["0", "990"])
     def test_bad_oracle_bound_usage_error(self, capsys, monkeypatch, bound):
         assert_usage_error(*self.run_script(capsys, monkeypatch, "--oracle-bound", bound),

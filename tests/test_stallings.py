@@ -10,7 +10,7 @@ from ample.stallings import (
     _bfs,
     _encoding,
     _peel,
-    _renumber,
+    _product,
     build_core,
     basis,
     conjugacy_intersection,
@@ -106,13 +106,144 @@ def sorting_bfs(adj, start):
     return tree
 
 
+def two_pass_renumber(adj, start):
+    """Reference for ``_renumber``: list the BFS order first, then number
+    the rows by position in it."""
+    order = list(_bfs(adj, start))
+    pos = {v: i for i, v in enumerate(order)}
+    return tuple({code: pos[t] for code, t in adj[v].items()} for v in order)
+
+
 def all_starts_cyclic_core(adj):
     """Reference for ``_cyclic_graph``'s numbering: peel, then number from
     every start and keep the least encoding, where ``_cyclic_graph`` numbers
     only the starts whose first row is least."""
     adj = _peel(adj, keep=None)
-    return min((_renumber(adj, list(_bfs(adj, start))) for start in adj),
+    return min((two_pass_renumber(adj, start) for start in adj),
                key=_encoding, default=({},))
+
+
+class UnionFind:
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+
+def path_arcs(arcs, codes, start, end, next_v):
+    """Append the arcs of a path reading ``codes`` from start to end through
+    fresh vertices numbered from next_v (no arcs for the empty word);
+    returns the next unused vertex."""
+    prev = start
+    for code in codes[:-1]:
+        arcs.append((prev, code, next_v))
+        prev, next_v = next_v, next_v + 1
+    if codes:
+        arcs.append((prev, codes[-1], end))
+    return next_v
+
+
+def union_find_fold(num_vertices, arcs):
+    """Reference for ``_fold``: every letter gets its own arc between fresh
+    vertices, and each arc is added with a union-find merge of the targets
+    it clashes with; returns (uf, adjacency), the adjacency keyed by
+    representatives, rows in letter order."""
+    uf = UnionFind(num_vertices)
+    adj = [dict() for _ in range(num_vertices)]
+    pending = deque()
+
+    def add_arc(u, code, v):
+        u = uf.find(u)
+        cur = adj[u].get(code)
+        if cur is None:
+            adj[u][code] = v
+        else:
+            cur = uf.find(cur)
+            v = uf.find(v)
+            if cur != v:
+                pending.append((cur, v))
+
+    for u, code, v in arcs:
+        add_arc(u, code, v)
+        add_arc(v, -code, u)
+        while pending:
+            a, b = pending.popleft()
+            a, b = uf.find(a), uf.find(b)
+            if a == b:
+                continue
+            if len(adj[a]) < len(adj[b]):
+                a, b = b, a
+            uf.parent[b] = a
+            moved = adj[b]
+            adj[b] = {}
+            for code2, tgt in moved.items():
+                add_arc(a, code2, tgt)
+    result = {}
+    for v in range(num_vertices):
+        if uf.find(v) == v:
+            result[v] = {c: uf.find(adj[v][c]) for c in sorted(adj[v], key=letter_key)}
+    return uf, result
+
+
+def union_find_core(generators):
+    """Reference for ``build_core``: one fresh vertex per letter, the
+    union-find fold, a peel and a two-pass numbering."""
+    arcs = []
+    next_v = 1
+    for w in generators:
+        next_v = path_arcs(arcs, w.letters, 0, 0, next_v)
+    uf, adj = union_find_fold(next_v, arcs)
+    base = uf.find(0)
+    return two_pass_renumber(_peel(adj, keep=base), base)
+
+
+def union_find_double_coset(h_gens, b1, k_gens, b2):
+    """Reference for ``in_double_coset``: the coset graph folded by
+    ``union_find_fold``, an empty b1 or b2 path replaced by its end t."""
+    t, s, f = 0, (1 if b2 else 0), (2 if b1 else 0)
+    arcs = []
+    next_v = path_arcs(arcs, b2.letters, s, t, 3)
+    next_v = path_arcs(arcs, b1.letters, f, t, next_v)
+    for w in k_gens:
+        next_v = path_arcs(arcs, w.letters, t, t, next_v)
+    uf, coset = union_find_fold(next_v, arcs)
+    reached, _ = _product(union_find_core(h_gens), coset, [(0, uf.find(s))])
+    return (0, uf.find(f)) in reached
+
+
+@st.composite
+def fold_inputs(draw):
+    """(h generators, b1, k generators, b2) over rank 1-4: generators may be
+    empty, not cyclically reduced (a drawn conjugate), repeated, or
+    conjugates of one another; b1 and b2 are often empty, and half the time
+    b2 is planted in the double coset."""
+    rank_ = draw(st.integers(min_value=1, max_value=4))
+
+    def gens():
+        base = draw(st.lists(words(rank_, 6), max_size=4))
+        extra = []
+        for w in base:
+            pick = draw(st.integers(min_value=0, max_value=3))
+            if pick == 1:       # a repeat
+                extra.append(w)
+            elif pick == 2:     # a conjugate, usually not cyclically reduced
+                x = draw(words(rank_, 3))
+                extra.append(multiply(multiply(x, w), invert(x)))
+        return base + extra
+
+    h_gens, k_gens = gens(), gens()
+    b1 = draw(st.one_of(st.just(Word()), words(rank_, 6)))
+    b2 = draw(st.one_of(st.just(Word()), words(rank_, 6)))
+    if h_gens and k_gens and draw(st.booleans()):
+        x, y = draw(st.sampled_from(h_gens)), draw(st.sampled_from(k_gens))
+        b2 = multiply(multiply(x, b1), y)
+    return h_gens, b1, k_gens, b2
 
 
 @st.composite
@@ -238,6 +369,28 @@ class TestDoubleCoset:
             # double cosets partition the group, and inversion swaps the sides
             assert got == in_double_coset(hg, b2, kg, b1)
             assert got == in_double_coset(kg, invert(b1), hg, invert(b2))
+
+
+class TestReadThenAddFold:
+    @given(case=fold_inputs())
+    @example(case=([W("e1 e2 E1")], Word(), [], Word()))          # the clash merge
+    @example(case=([W("e1 e2"), W("e1 e2")], Word(), [], Word()))  # the read reaches the end
+    @example(case=([W("e1")], W("e2"), [W("e1 e2 E1")], W("e1 e2 e2")))  # b1 reads back along b2
+    @settings(max_examples=150, deadline=None)
+    def test_matches_union_find_fold(self, case):
+        h_gens, b1, k_gens, b2 = case
+        for gens in (h_gens, k_gens):
+            assert build_core(gens).adj == union_find_core(gens)
+        assert in_double_coset(h_gens, b1, k_gens, b2) == union_find_double_coset(
+            h_gens, b1, k_gens, b2)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_nothing_to_peel(self, data):
+        rank_ = data.draw(st.integers(min_value=1, max_value=4))
+        g = build_core(data.draw(st.lists(words(rank_, 8), max_size=4)))
+        assert all(len(row) >= 2 for row in g.adj[1:])
+        assert _peel(dict(enumerate(g.adj)), keep=0) == dict(enumerate(g.adj))
 
 
 class TestBasisAndRank:
