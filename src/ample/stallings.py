@@ -12,7 +12,10 @@ along the arcs already folded and only its unread part added (Stallings).
 A cyclic core is a :class:`SubgroupGraph` too: every vertex has degree >= 2,
 and it is based at the vertex whose BFS numbering encodes least, so two
 nontrivial subgroups are conjugate iff their cyclic cores' tuples are equal.
-The trivial group's cyclic core is the one-vertex graph ``({},)``.
+The trivial group's cyclic core is the one-vertex graph ``({},)``.  Conjugacy
+questions read folded graphs whole: hairs (trees off the cyclic core) carry no
+closed cyclically reduced path, as a reduced path entering a tree cannot come
+back, and a reduced path in a folded product projects to one in each factor.
 """
 
 from __future__ import annotations
@@ -155,15 +158,15 @@ class SubgroupGraph:
 
     Cyclic cores are instances too (based at their canonical start, their
     own cyclic core); false iff vertex 0 has no arc, i.e. the trivial group.
+    Conjugacy reads ``adj`` hairs and all: no cyclically reduced loop enters one.
     """
 
-    __slots__ = ("adj", "_core")
+    __slots__ = ("adj",)
 
     adj: tuple[dict[int, int], ...]
 
     def __init__(self, adj: tuple[dict[int, int], ...]):
         object.__setattr__(self, "adj", adj)
-        object.__setattr__(self, "_core", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SubgroupGraph is immutable")
@@ -293,11 +296,6 @@ def intersect(g1: SubgroupGraph, g2: SubgroupGraph) -> SubgroupGraph:
     return SubgroupGraph._from_raw(adj, 0)
 
 
-# The ``_core`` of a graph that is its own cyclic core: a sentinel, not the
-# graph itself, so that a dropped core is not a reference cycle.
-_IS_CORE = object()
-
-
 def _first_row(row: dict[int, int], start: int) -> tuple[tuple[int, int], ...]:
     """Row 0 of the ``_encoding`` of the numbering from ``start``, read off
     its own arcs: a loop maps to 0, other targets to 1, 2, ... in stored row
@@ -309,33 +307,28 @@ def _first_row(row: dict[int, int], start: int) -> tuple[tuple[int, int], ...]:
 
 
 def _cyclic_graph(adj: Adj) -> SubgroupGraph:
-    """Cyclic core of a connected folded graph: every degree<=1 vertex
-    peeled, then numbered from the start whose numbering encodes least (the
-    one-vertex graph if nothing is left); the result is its own core.
+    """Cyclic core of a connected folded graph with no degree<=1 vertex,
+    numbered from the start whose numbering encodes least (one vertex if empty).
 
     ``_encoding`` compares row 0 first, so only the starts whose first row
     is least can win, and only they are numbered in full."""
-    adj = _peel(adj, keep=None)
     firsts = {start: _first_row(row, start) for start, row in adj.items()}
     least = min(firsts.values(), default=None)
-    core = SubgroupGraph(min((_renumber(adj, start)
+    return SubgroupGraph(min((_renumber(adj, start)
                               for start, first in firsts.items() if first == least),
                              key=_encoding, default=({},)))
-    object.__setattr__(core, "_core", _IS_CORE)
-    return core
 
 
 def cyclic_core(g: SubgroupGraph) -> SubgroupGraph:
-    """Strip all degree<=1 vertices, basepoint included (built once per g)."""
-    if g._core is None:
-        object.__setattr__(g, "_core", _cyclic_graph(dict(enumerate(g.adj))))
-    return g if g._core is _IS_CORE else g._core
+    """Strip all degree<=1 vertices, basepoint included; this loses no closed
+    cyclically reduced path, as a reduced path entering a tree cannot return."""
+    return _cyclic_graph(_peel(dict(enumerate(g.adj)), keep=None))
 
 
-def reads_closed_path(core: SubgroupGraph, codes: Sequence[int]) -> bool:
-    """True iff ``codes`` reads a closed path from some vertex of ``core``
+def reads_closed_path(g: SubgroupGraph, codes: Sequence[int]) -> bool:
+    """True iff ``codes`` reads a closed path from some vertex of ``g``
     (the empty word reads one at every vertex)."""
-    adj = core.adj
+    adj = g.adj
     for start in range(len(adj)):
         v = start
         for code in codes:
@@ -349,22 +342,23 @@ def reads_closed_path(core: SubgroupGraph, codes: Sequence[int]) -> bool:
 
 
 def is_conjugate_into(w: Word, g: SubgroupGraph) -> bool:
-    """True iff the cyclic reduction of w reads a closed path somewhere in
-    the cyclic core of g."""
-    return reads_closed_path(cyclic_core(g), cyclic_reduce(w)[0].letters)
+    """True iff the cyclic reduction of w reads a closed path in g, which lies in
+    its cyclic core: a reduced path entering a hair (a tree) cannot come back."""
+    return reads_closed_path(g, cyclic_reduce(w)[0].letters)
 
 
 def conjugacy_intersection(g1: SubgroupGraph, g2: SubgroupGraph) -> list[SubgroupGraph]:
     """Cycle-bearing components of the fiber product of the two cyclic cores
-    over all vertex pairs.
+    over all vertex pairs, each numbered as its own cyclic core.
 
     A nontrivial word is conjugate into both g1 and g2 iff it is conjugate
     into the subgroup of some returned component: a cyclically reduced word
     reads a closed path in the peeled product iff it reads one in each core.
+    The product of g1 and g2 themselves peels to the same graph: a reduced
+    path in it projects to one in each, which cannot enter a hair of either.
     """
-    c1, c2 = cyclic_core(g1), cyclic_core(g2)
-    pairs = [(v1, v2) for v1 in range(c1.num_vertices) for v2 in range(c2.num_vertices)]
-    adj = _peel(_product(c1.adj, c2.adj, pairs)[1], keep=None)
+    pairs = [(v1, v2) for v1 in range(g1.num_vertices) for v2 in range(g2.num_vertices)]
+    adj = _peel(_product(g1.adj, g2.adj, pairs)[1], keep=None)
     components = []
     remaining = set(adj)
     while remaining:

@@ -39,7 +39,7 @@ def _reduce(codes: Iterable[int]) -> tuple[int, ...]:
 class Word:
     """A freely reduced word; the empty word is the identity."""
 
-    __slots__ = ("letters", "_hash")
+    __slots__ = ("letters",)
 
     letters: tuple[int, ...]
 
@@ -49,7 +49,6 @@ class Word:
             if c == 0:
                 raise GeneratorIndexError("letter code 0 is not a generator")
         object.__setattr__(self, "letters", _reduce(codes))
-        object.__setattr__(self, "_hash", hash(self.letters))
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
@@ -64,7 +63,7 @@ class Word:
         return isinstance(other, Word) and self.letters == other.letters
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.letters)
 
     def __bool__(self) -> bool:
         return bool(self.letters)
@@ -99,14 +98,12 @@ EMPTY = Word()
 def multiply(u: Word, v: Word) -> Word:
     w = Word()
     object.__setattr__(w, "letters", _reduce(u.letters + v.letters))
-    object.__setattr__(w, "_hash", hash(w.letters))
     return w
 
 
 def invert(u: Word) -> Word:
     w = Word()
     object.__setattr__(w, "letters", tuple(-c for c in reversed(u.letters)))
-    object.__setattr__(w, "_hash", hash(w.letters))
     return w
 
 
@@ -302,7 +299,7 @@ class CyclicWord:
     canonical least rotation.
     """
 
-    __slots__ = ("letters", "canonical", "_hash")
+    __slots__ = ("letters", "canonical")
 
     letters: tuple[int, ...]
     canonical: tuple[int, ...]
@@ -315,7 +312,6 @@ class CyclicWord:
             raise ValueError("cyclic word must be cyclically reduced")
         object.__setattr__(self, "letters", codes)
         object.__setattr__(self, "canonical", least_rotation(codes))
-        object.__setattr__(self, "_hash", hash(("cyclic", self.canonical)))
 
     def __setattr__(self, name, value):
         raise AttributeError("CyclicWord is immutable")
@@ -327,7 +323,7 @@ class CyclicWord:
         return isinstance(other, CyclicWord) and self.canonical == other.canonical
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(("cyclic", self.canonical))
 
     def __bool__(self) -> bool:
         return bool(self.letters)

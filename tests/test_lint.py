@@ -100,3 +100,31 @@ def test_no_environment_reads(path):
     # run settings come from arguments only, so a report is replayable from them
     tree = ast.parse(path.read_text(), filename=str(path))
     assert [f"{path.name}:{line}" for line in _environment_reads(tree)] == []
+
+
+def _stray_setattrs(tree: ast.Module) -> list[int]:
+    """Lines where ``object.__setattr__`` targets anything but ``self`` or a
+    local its function binds from a call, i.e. a value it did not just make."""
+    lines = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        made = {"self"} | {target.id for node in ast.walk(func)
+                           if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                           for target in node.targets if isinstance(target, ast.Name)}
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "__setattr__"
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "object"
+                    and not (node.args and isinstance(node.args[0], ast.Name)
+                             and node.args[0].id in made)):
+                lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_values_set_only_at_construction(path):
+    # values are immutable after construction: no function writes a slot of
+    # an object it was handed, so no object carries state a caller cannot see
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert [f"{path.name}:{line}" for line in _stray_setattrs(tree)] == []

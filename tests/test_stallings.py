@@ -29,7 +29,8 @@ from ample.verifier import _conjugacy_part
 from ample.words import (
     Word, cyclic_reduce, invert, least_rotation, letter_key, multiply, parse_word)
 
-from conftest import all_reduced_words, naive_products, random_reduced_word, words
+from conftest import (
+    all_reduced_words, naive_products, nonempty_words, random_reduced_word, words)
 
 W = parse_word
 
@@ -121,6 +122,31 @@ def all_starts_cyclic_core(adj):
     adj = _peel(adj, keep=None)
     return min((two_pass_renumber(adj, start) for start in adj),
                key=_encoding, default=({},))
+
+
+def core_is_conjugate_into(w, g):
+    """Reference for ``is_conjugate_into``: read the cyclic reduction of w
+    in the cyclic core of g, where ``is_conjugate_into`` reads g itself."""
+    core = SubgroupGraph(all_starts_cyclic_core(dict(enumerate(g.adj))))
+    return reads_closed_path(core, cyclic_reduce(w)[0].letters)
+
+
+def core_conjugacy_intersection(g1, g2):
+    """Reference for ``conjugacy_intersection``: the peeled product of the
+    two cyclic cores over all vertex pairs, where ``conjugacy_intersection``
+    peels the product of g1 and g2 themselves; each component is peeled
+    again and numbered from every start."""
+    c1, c2 = (SubgroupGraph(all_starts_cyclic_core(dict(enumerate(g.adj))))
+              for g in (g1, g2))
+    pairs = [(v1, v2) for v1 in range(c1.num_vertices) for v2 in range(c2.num_vertices)]
+    adj = _peel(_product(c1.adj, c2.adj, pairs)[1], keep=None)
+    components = []
+    remaining = set(adj)
+    while remaining:
+        comp = _bfs(adj, min(remaining))
+        remaining -= comp.keys()
+        components.append(SubgroupGraph(all_starts_cyclic_core({v: adj[v] for v in comp})))
+    return sorted(components, key=lambda graph: _encoding(graph.adj))
 
 
 class UnionFind:
@@ -274,6 +300,36 @@ def sharing_pairs(draw):
     gens2 = gens1[:shared] + draw(
         st.lists(words(rank_, 6), min_size=0 if shared else 1, max_size=3 - shared))
     return gens1, gens2, draw(st.integers(min_value=1, max_value=7))
+
+
+@st.composite
+def hairy_cases(draw):
+    """(generators 1, generators 2, word) over rank 1-4, 0-3 generators
+    each.  Half the time a tuple is conjugated by one word of 1-3 letters,
+    so that its folded graph has a hair at the basepoint; otherwise each
+    generator is, half the time, by its own.  Half the time the word is a
+    product of the first tuple's generators conjugated by 0-3 letters, so it
+    is conjugate into the first subgroup."""
+    rank_ = draw(st.integers(min_value=1, max_value=4))
+
+    def conjugate(x, w):
+        return multiply(multiply(x, w), invert(x))
+
+    def gens():
+        base = draw(st.lists(words(rank_, 5), max_size=3))
+        if draw(st.booleans()):
+            x = draw(nonempty_words(rank_, 3))
+            return [conjugate(x, w) for w in base]
+        return [conjugate(draw(nonempty_words(rank_, 3)), w) if draw(st.booleans()) else w
+                for w in base]
+
+    gens1, gens2 = gens(), gens()
+    if gens1 and draw(st.booleans()):
+        factors = draw(st.lists(st.sampled_from(gens1), min_size=1, max_size=2))
+        w = conjugate(draw(words(rank_, 3)), Word([c for f in factors for c in f.letters]))
+    else:
+        w = draw(words(rank_, 6))
+    return gens1, gens2, w
 
 
 def random_subgroup(rng, rank_=2, max_gens=3, max_len=5):
@@ -495,27 +551,27 @@ class TestCyclicCore:
     def test_trivial_empty(self):
         assert not cyclic_core(build_core([]))
 
-    def test_core_built_once_per_graph(self, rng):
+    def test_equal_graphs_give_equal_cores(self, rng):
         for _ in range(20):
             _, g = random_subgroup(rng, rng.choice((2, 3)))
             core = cyclic_core(g)
-            assert cyclic_core(g) is core
+            assert cyclic_core(g) == core
             fresh = SubgroupGraph(tuple(dict(row) for row in g.adj))
             assert cyclic_core(fresh) == core
         with pytest.raises(AttributeError):
-            g._core = None
+            g.adj = ()
 
     def test_core_is_its_own_core(self, rng):
         trivial = cyclic_core(build_core([]))
-        assert trivial.adj == ({},) and cyclic_core(trivial) is trivial
+        assert trivial.adj == ({},) and cyclic_core(trivial) == trivial
         for _ in range(20):
             _, g = random_subgroup(rng, rng.choice((2, 3)))
             core = cyclic_core(g)
-            assert cyclic_core(core) is core
+            assert cyclic_core(core) == core
             assert bool(core) == (rank(g) > 0)
         for comp in conjugacy_intersection(build_core([W("e1"), W("e2 e2")]),
                                            build_core([W("e1"), W("e2")])):
-            assert cyclic_core(comp) is comp
+            assert cyclic_core(comp) == comp
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
@@ -570,6 +626,17 @@ class TestConjugacy:
         assert not is_conjugate_into(W("e2"), build_core([W("e1")]))
         g = build_core([witness(0), witness(1)])
         assert is_conjugate_into(W("[e2,e3]"), g)
+
+    @given(case=hairy_cases())
+    @example(case=([W("e2 e1 E2")], [], W("e1")))          # the loop is off the basepoint
+    @example(case=([W("E3 e1 e3")], [W("e1")], W("e1")))   # a hair in one factor only
+    @settings(max_examples=300, deadline=None)
+    def test_folded_graph_reads_match_cyclic_core_reads(self, case):
+        gens1, gens2, w = case
+        g1, g2 = build_core(gens1), build_core(gens2)
+        for g in (g1, g2):
+            assert is_conjugate_into(w, g) == core_is_conjugate_into(w, g)
+        assert conjugacy_intersection(g1, g2) == core_conjugacy_intersection(g1, g2)
 
     def test_conjugacy_intersection_examples(self):
         assert conjugacy_intersection(build_core([W("e1")]),

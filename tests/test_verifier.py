@@ -27,7 +27,7 @@ from ample.verifier import (
     verify_ample,
 )
 from ample.whitehead import WhiteheadAut, is_basis
-from ample.words import Word, commutator, invert, multiply, parse_word
+from ample.words import CyclicWord, Word, commutator, invert, multiply, parse_word
 
 W = parse_word
 
@@ -213,7 +213,9 @@ class TestVerifyAmple:
             verify_ample(0)
 
     def test_no_graph_garbage(self):
-        """A dropped cyclic core is freed by reference counting alone."""
+        """Graphs, words and automorphisms are freed by reference counting
+        alone: none is part of a reference cycle.  (``to_json`` is left out:
+        the pure-Python JSON encoder it uses makes cycles of its own.)"""
         verify_ample(3)
         gc.collect()
         gc.disable()
@@ -222,7 +224,8 @@ class TestVerifyAmple:
             for _ in range(3):
                 verify_ample(3)
             gc.collect()
-            leaked = [o for o in gc.garbage if isinstance(o, SubgroupGraph)]
+            leaked = [o for o in gc.garbage
+                      if isinstance(o, (SubgroupGraph, Word, CyclicWord, WhiteheadAut))]
         finally:
             gc.set_debug(0)
             gc.garbage.clear()
