@@ -33,17 +33,19 @@ Rows = Sequence[dict[int, int]] | Adj   # adjacency rows of a tuple or a raw gra
 # Folding
 # ---------------------------------------------------------------------------
 
-def _fold(named: int, paths: Iterable[tuple[int, Sequence[int], int]]) -> tuple[list[int], Adj]:
+def _fold(named: int,
+          paths: Iterable[tuple[int, Sequence[int], int]]) -> tuple[list[int], Rows]:
     """Fold the paths (start, codes, end) between the named vertices
-    0..named-1; returns (each named vertex's representative, adjacency).
+    0..named-1, which the paths must connect; returns (each named vertex's
+    number, the canonical adjacency tuple based at named vertex 0).
 
     Each path is read forward from its start, then backward from its end,
     along the arcs already there; only the unread middle gets fresh
     vertices.  Vertices merge (and the folds cascade) only where the reads
     meet: the middle is empty, or start = end and the middle reads
-    c ... c^-1, so its last arc clashes with its first.  Rows are keyed by
-    representatives, targets resolved, sorted by ``letter_key`` (the only
-    row sort)."""
+    c ... c^-1, so its last arc clashes with its first.  One BFS from vertex
+    0 resolves the rows, sorts them by ``letter_key`` (the only row sort)
+    and numbers them as ``_renumber`` would."""
     adj: list[dict[int, int]] = [{} for _ in range(named)]
     parent = list(range(named))
 
@@ -93,9 +95,17 @@ def _fold(named: int, paths: Iterable[tuple[int, Sequence[int], int]]) -> tuple[
         if first != u:
             merge(first, u)
     root = [v if p == v else find(v) for v, p in enumerate(parent)]
-    rows = {v: {c: root[row[c]] for c in sorted(row, key=letter_key)}
-            for v, row in enumerate(adj) if root[v] == v}
-    return root[:named], rows
+    pos, order, rows = {root[0]: 0}, [root[0]], []
+    for v in order:   # order grows as vertices are met
+        row, numbered = adj[v], {}
+        for code in sorted(row, key=letter_key):
+            t = root[row[code]]
+            if t not in pos:
+                pos[t] = len(order)
+                order.append(t)
+            numbered[code] = pos[t]
+        rows.append(numbered)
+    return [pos[v] for v in root[:named]], tuple(rows)
 
 
 def _peel(adj: Adj, keep: Optional[int]) -> Adj:
@@ -223,12 +233,11 @@ def _product(adj1: Rows, adj2: Rows,
 
 
 def build_core(generators: Sequence[Word]) -> SubgroupGraph:
-    """Folded based core graph of the subgroup generated by the given words.
-
-    Nothing is peeled: every vertex but the basepoint lies on the image of a
-    freely reduced word, a reduced path in a folded graph, so has degree >= 2."""
-    reps, adj = _fold(1, [(0, w.letters, 0) for w in generators])
-    return SubgroupGraph(_renumber(adj, reps[0]))
+    """Folded based core graph of the subgroup generated by the given words,
+    numbered by ``_fold``.  Nothing is peeled: every vertex but the basepoint
+    lies on the image of a freely reduced word, a reduced path in a folded
+    graph, so has degree >= 2."""
+    return SubgroupGraph(_fold(1, [(0, w.letters, 0) for w in generators])[1])
 
 
 def contains(g: SubgroupGraph, w: Word) -> bool:
@@ -252,10 +261,10 @@ def in_double_coset(h_gens: Sequence[Word], b1: Word, k_gens: Sequence[Word], b2
     core of <h_gens> joins (0, s) to (0, f).
     """
     t, s, f = 0, 1, 2
-    reps, coset = _fold(3, [(s, b2.letters, t), (f, b1.letters, t),
-                            *((t, w.letters, t) for w in k_gens)])
-    reached, _ = _product(build_core(h_gens).adj, coset, [(0, reps[s])])
-    return (0, reps[f]) in reached
+    pos, coset = _fold(3, [(s, b2.letters, t), (f, b1.letters, t),
+                           *((t, w.letters, t) for w in k_gens)])
+    reached, _ = _product(build_core(h_gens).adj, coset, [(0, pos[s])])
+    return (0, pos[f]) in reached
 
 
 def rank(g: SubgroupGraph) -> int:

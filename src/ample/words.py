@@ -5,11 +5,17 @@ Letters are encoded as nonzero integers: +k is the generator ``e<k>`` and
 :class:`CyclicWord` is cyclically reduced and compared up to rotation.
 Generator indices are unbounded; operations that need an ambient rank take
 it as an explicit argument elsewhere in the package.
+
+Every ``Word`` is reduced, so two words cancel only at their seam: a product
+joins what is left of each, and ``_word`` wraps such a join (or a slice of a
+reduced word) without reducing it again.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+import re
+from operator import neg
+from typing import Iterable, Iterator, Sequence
 
 
 class WordSyntaxError(ValueError):
@@ -45,9 +51,8 @@ class Word:
 
     def __init__(self, codes: Iterable[int] = ()):
         codes = tuple(codes)
-        for c in codes:
-            if c == 0:
-                raise GeneratorIndexError("letter code 0 is not a generator")
+        if 0 in codes:
+            raise GeneratorIndexError("letter code 0 is not a generator")
         object.__setattr__(self, "letters", _reduce(codes))
 
     def __setattr__(self, name, value):
@@ -92,32 +97,36 @@ class Word:
         return max((abs(c) for c in self.letters), default=0)
 
 
-EMPTY = Word()
+def _word(letters: tuple[int, ...]) -> Word:
+    """A ``Word`` of letters already freely reduced."""
+    w = object.__new__(Word)
+    object.__setattr__(w, "letters", letters)
+    return w
+
+
+def _seam(a: Sequence[int], b: Sequence[int]) -> int:
+    """How many letters cancel where reduced a meets reduced b."""
+    k, n = 0, min(len(a), len(b))
+    while k < n and a[-1 - k] == -b[k]:
+        k += 1
+    return k
 
 
 def multiply(u: Word, v: Word) -> Word:
-    w = Word()
-    object.__setattr__(w, "letters", _reduce(u.letters + v.letters))
-    return w
+    k = _seam(u.letters, v.letters)
+    return _word(u.letters[:len(u) - k] + v.letters[k:])
 
 
 def invert(u: Word) -> Word:
-    w = Word()
-    object.__setattr__(w, "letters", tuple(-c for c in reversed(u.letters)))
-    return w
+    return _word(tuple(map(neg, reversed(u.letters))))
 
 
 def power(u: Word, n: int) -> Word:
+    """u^n: u's cyclic reduction repeated n times inside its conjugator."""
     if n < 0:
         return power(invert(u), -n)
-    result = EMPTY
-    base = u
-    while n:
-        if n & 1:
-            result = multiply(result, base)
-        base = multiply(base, base)
-        n >>= 1
-    return result
+    lo, hi = _cyclic_bounds(u.letters)
+    return _word(u.letters[:lo] + u.letters[lo:hi] * n + u.letters[hi:]) if n else Word()
 
 
 def commutator(u: Word, v: Word) -> Word:
@@ -157,44 +166,33 @@ def _check_letters(count: int) -> None:
             f"word expands to more than {MAX_WORD_LETTERS} letters")
 
 
+# A generator, a structural character, an integer, or an error: an index may
+# not run on into another generator (`e1e2`).  \d is str.isdecimal, as int().
+_TOKEN = re.compile(r"([eE])(\d+)(?![\deE])|([\[\],()^])|(-?\d+)|(\S)")
+
+
 def _tokenize(text: str) -> list:
+    """Generator codes, structural characters and ("int", n) exponents."""
     tokens: list = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "[],()^":
-            tokens.append(ch)
-            i += 1
-            continue
-        if ch in "eE":
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            digits = text[i + 1:j]
-            if not digits:
-                raise WordSyntaxError(f"generator token missing index at position {i}")
-            if j < n and text[j] in "eE":
-                raise WordSyntaxError(
-                    f"generator tokens must be whitespace-separated near position {i}")
-            k = int(digits)
+    for m in _TOKEN.finditer(text):
+        sign, index, punct, number, _ = m.groups()
+        if index is not None:
+            k = int(index)
             if k < 1:
                 raise GeneratorIndexError("generator index 0 is not allowed")
-            tokens.append(k if ch == "e" else -k)
-            i = j
-            continue
-        if ch == "-" or ch.isdigit():
-            j = i + 1 if ch == "-" else i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j == i or (ch == "-" and j == i + 1):
-                raise WordSyntaxError(f"malformed integer at position {i}")
-            tokens.append(("int", int(text[i:j])))
-            i = j
-            continue
-        raise WordSyntaxError(f"unexpected character {ch!r} at position {i}")
+            tokens.append(k if sign == "e" else -k)
+        elif punct is not None:
+            tokens.append(punct)
+        elif number is not None:
+            tokens.append(("int", int(number)))
+        else:
+            i, ch = m.start(), m.group()
+            if ch in "eE":
+                msg = ("generator token missing index at" if not text[i + 1:i + 2].isdecimal()
+                       else "generator tokens must be whitespace-separated near")
+            else:
+                msg = "malformed integer at" if ch == "-" else f"unexpected character {ch!r} at"
+            raise WordSyntaxError(f"{msg} position {i}")
     return tokens
 
 
@@ -211,21 +209,32 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def parse_word(self, stop=(), depth=0) -> Word:
+    def parse_word(self, stop=(), depth=0) -> tuple[int, ...]:
         if depth > MAX_NESTING:
             raise WordSyntaxError(f"brackets nested deeper than {MAX_NESTING}")
-        codes: list[int] = []
+        out: list[int] = []
+        count = 0   # the factors' letters before they cancel, as the cap counts
         while True:
             tok = self.peek()
             if tok is None or tok in stop:
-                return Word(codes)
-            codes.extend(self.parse_factor(depth).letters)
-            _check_letters(len(codes))
+                return tuple(out)
+            if isinstance(tok, int):
+                self.pos += 1
+                if out and out[-1] == -tok:
+                    out.pop()
+                else:
+                    out.append(tok)
+                count += 1
+            else:
+                factor = self.parse_factor(depth)
+                k = _seam(out, factor)
+                del out[len(out) - k:]
+                out.extend(factor[k:])
+                count += len(factor)
+            _check_letters(count)
 
-    def parse_factor(self, depth: int) -> Word:
+    def parse_factor(self, depth: int) -> tuple[int, ...]:
         tok = self.next()
-        if isinstance(tok, int):
-            return Word((tok,))
         if tok == "[":
             u = self.parse_word(stop=(",",), depth=depth + 1)
             if self.next() != ",":
@@ -234,7 +243,7 @@ class _Parser:
             if self.next() != "]":
                 raise WordSyntaxError("unbalanced '['")
             _check_letters(2 * (len(u) + len(v)))
-            return commutator(u, v)
+            return commutator(_word(u), _word(v)).letters
         if tok == "(":
             u = self.parse_word(stop=(")",), depth=depth + 1)
             if self.next() != ")":
@@ -245,7 +254,7 @@ class _Parser:
             if not (isinstance(m, tuple) and m[0] == "int"):
                 raise WordSyntaxError("expected integer exponent after '^'")
             _check_letters(len(u) * abs(m[1]))
-            return power(u, m[1])
+            return power(_word(u), m[1]).letters
         raise WordSyntaxError(f"unexpected token {tok!r}")
 
 
@@ -255,7 +264,7 @@ def parse_word(text: str) -> Word:
     w = parser.parse_word()
     if parser.peek() is not None:
         raise WordSyntaxError(f"trailing token {parser.peek()!r}")
-    return w
+    return _word(w)
 
 
 def format_word(u: Word) -> str:
@@ -335,14 +344,20 @@ class CyclicWord:
         return Word(self.letters)
 
 
-def cyclic_reduce(u: Word) -> tuple[CyclicWord, Word]:
-    """Split u as conjugator * core * conjugator^-1 with minimal conjugator."""
-    codes = u.letters
+def _cyclic_bounds(codes: tuple[int, ...]) -> tuple[int, int]:
+    """(lo, hi): reduced codes[lo:hi] is cyclically reduced, codes[hi:] inverts codes[:lo]."""
     lo, hi = 0, len(codes)
     while hi - lo >= 2 and codes[lo] == -codes[hi - 1]:
         lo += 1
         hi -= 1
-    return CyclicWord(codes[lo:hi]), Word(codes[:lo])
+    return lo, hi
+
+
+def cyclic_reduce(u: Word) -> tuple[CyclicWord, Word]:
+    """Split u as conjugator * core * conjugator^-1 with minimal conjugator."""
+    codes = u.letters
+    lo, hi = _cyclic_bounds(codes)
+    return CyclicWord(codes[lo:hi]), _word(codes[:lo])
 
 
 def is_conjugate(u: Word, v: Word) -> bool:
@@ -353,20 +368,17 @@ def is_conjugate(u: Word, v: Word) -> bool:
 def primitive_root(u: Word) -> tuple[Word, int]:
     """Return (root, exponent) with u = root**exponent, exponent maximal.
 
-    The centralizer of u in the ambient free group is generated by root.
+    The centralizer of u in the ambient free group is generated by root, u's
+    conjugator around the period of its cyclic reduction (nothing cancels).
     """
     if not u:
         raise ValueError("the identity has no primitive root")
-    core, conj = cyclic_reduce(u)
-    inner = core.letters
+    lo, hi = _cyclic_bounds(u.letters)
+    inner = u.letters[lo:hi]
     n = len(inner)
     for p in range(1, n + 1):
-        if n % p:
-            continue
-        if inner == inner[:p] * (n // p):
-            root_core = Word(inner[:p])
-            root = multiply(multiply(conj, root_core), invert(conj))
-            return root, n // p
+        if n % p == 0 and inner == inner[:p] * (n // p):
+            return _word(u.letters[:lo] + inner[:p] + u.letters[hi:]), n // p
     raise AssertionError("unreachable: every word is a power of itself")
 
 

@@ -77,6 +77,11 @@ class TestWordCommands:
         code, _, err = run(capsys, "word", "reduce", "x1")
         assert code == 2 and "ample:" in err
 
+    def test_non_decimal_digit_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "primitive", "--rank", "2", "e²")
+        assert_usage_error(code, out, err)
+        assert "missing index at position 0" in err
+
     def test_deep_nesting_is_usage_error(self, capsys):
         code, out, err = run(capsys, "word", "reduce", "(" * 600 + "e1" + ")^1" * 600)
         assert code == 2 and out == ""

@@ -1,5 +1,7 @@
+import re
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ample.words import (
     MAX_NESTING,
@@ -8,6 +10,7 @@ from ample.words import (
     GeneratorIndexError,
     Word,
     WordSyntaxError,
+    _reduce,
     canonical_root,
     commutator,
     cyclic_reduce,
@@ -27,6 +30,156 @@ from conftest import words, nonempty_words
 
 
 W = parse_word
+
+
+# ---------------------------------------------------------------------------
+# Reference parser: scan characters one at a time, make a Word per letter and
+# reduce each factor's letters again, as ``parse_word`` did before it took a
+# regex tokenizer and joined reduced factors at their seams.
+# ---------------------------------------------------------------------------
+
+def _reference_check(count):
+    if count > MAX_WORD_LETTERS:
+        raise WordSyntaxError(f"word expands to more than {MAX_WORD_LETTERS} letters")
+
+
+def scanning_tokenize(text):
+    """Reference for ``words._tokenize``."""
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in "[],()^":
+            tokens.append(ch)
+            i += 1
+            continue
+        if ch in "eE":
+            j = i + 1
+            while j < n and text[j].isdigit():
+                j += 1
+            digits = text[i + 1:j]
+            if not digits:
+                raise WordSyntaxError(f"generator token missing index at position {i}")
+            if j < n and text[j] in "eE":
+                raise WordSyntaxError(
+                    f"generator tokens must be whitespace-separated near position {i}")
+            k = int(digits)
+            if k < 1:
+                raise GeneratorIndexError("generator index 0 is not allowed")
+            tokens.append(k if ch == "e" else -k)
+            i = j
+            continue
+        if ch == "-" or ch.isdigit():
+            j = i + 1 if ch == "-" else i
+            while j < n and text[j].isdigit():
+                j += 1
+            if j == i or (ch == "-" and j == i + 1):
+                raise WordSyntaxError(f"malformed integer at position {i}")
+            tokens.append(("int", int(text[i:j])))
+            i = j
+            continue
+        raise WordSyntaxError(f"unexpected character {ch!r} at position {i}")
+    return tokens
+
+
+class FactorParser:
+    """Reference for ``words._Parser``: every factor is a ``Word``, and a
+    word's factors are concatenated and reduced in full."""
+
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def next(self):
+        tok = self.peek()
+        self.pos += 1
+        return tok
+
+    def parse_word(self, stop=(), depth=0):
+        if depth > MAX_NESTING:
+            raise WordSyntaxError(f"brackets nested deeper than {MAX_NESTING}")
+        codes = []
+        while True:
+            tok = self.peek()
+            if tok is None or tok in stop:
+                return Word(codes)
+            codes.extend(self.parse_factor(depth).letters)
+            _reference_check(len(codes))
+
+    def parse_factor(self, depth):
+        tok = self.next()
+        if isinstance(tok, int):
+            return Word((tok,))
+        if tok == "[":
+            u = self.parse_word(stop=(",",), depth=depth + 1)
+            if self.next() != ",":
+                raise WordSyntaxError("expected ',' inside [ , ]")
+            v = self.parse_word(stop=("]",), depth=depth + 1)
+            if self.next() != "]":
+                raise WordSyntaxError("unbalanced '['")
+            _reference_check(2 * (len(u) + len(v)))
+            inverse = [-c for c in reversed(u.letters + v.letters)]
+            return Word(u.letters + v.letters + tuple(inverse[len(v):] + inverse[:len(v)]))
+        if tok == "(":
+            u = self.parse_word(stop=(")",), depth=depth + 1)
+            if self.next() != ")":
+                raise WordSyntaxError("unbalanced '('")
+            if self.next() != "^":
+                raise WordSyntaxError("expected '^' after ')'")
+            m = self.next()
+            if not (isinstance(m, tuple) and m[0] == "int"):
+                raise WordSyntaxError("expected integer exponent after '^'")
+            _reference_check(len(u) * abs(m[1]))
+            base = u.letters if m[1] >= 0 else tuple(-c for c in reversed(u.letters))
+            return Word(base * abs(m[1]))
+        raise WordSyntaxError(f"unexpected token {tok!r}")
+
+
+def reference_parse(text):
+    parser = FactorParser(scanning_tokenize(text))
+    w = parser.parse_word()
+    if parser.peek() is not None:
+        raise WordSyntaxError(f"trailing token {parser.peek()!r}")
+    return w
+
+
+def _outcome(parse, text):
+    """The parsed letters, or the exception's exact type and message."""
+    try:
+        return parse(text).letters
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# '١' is a decimal digit outside ASCII, '\x1c' a space that is not ' '.
+_SCRAMBLE = st.text(alphabet="eE0123456789١\x1c [](),^-xé", max_size=24)
+
+
+@st.composite
+def grammatical_text(draw, depth=0):
+    """Word text from the grammar, spaced at random, whose factors cancel
+    one another often (few generators, small exponents)."""
+    def space():
+        return draw(st.sampled_from(["", " ", "  ", "\x1c"]))
+    parts = []
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        kind = draw(st.sampled_from(["gen", "gen", "gen", "comm", "pow"] if depth < 3
+                                    else ["gen"]))
+        if kind == "gen":
+            parts.append(draw(st.sampled_from("eE")) + str(draw(st.integers(1, 3))))
+        elif kind == "comm":
+            parts.append(f"[{space()}{draw(grammatical_text(depth + 1))}{space()},"
+                         f"{draw(grammatical_text(depth + 1))}{space()}]")
+        else:
+            parts.append(f"({space()}{draw(grammatical_text(depth + 1))}{space()})"
+                         f"{space()}^{space()}{draw(st.integers(-3, 3))}")
+    return " ".join(parts) if draw(st.booleans()) else "  ".join(parts)
 
 
 class TestParse:
@@ -68,6 +221,9 @@ class TestParse:
                      f"(e1)^{cap} (E1)^{cap}", f"(e1 e2)^{10 ** 12}"):
             with pytest.raises(WordSyntaxError, match="more than"):
                 W(text)
+        # the cap counts letters before they cancel, not the reduced result
+        with pytest.raises(WordSyntaxError, match="more than"):
+            W("e1 E1 " * 50_001)
 
     def test_whitespace_inside_brackets(self):
         assert W("[ e1 e2 , e3 ]") == commutator(Word((1, 2)), Word((3,)))
@@ -88,6 +244,31 @@ class TestParse:
     def test_format_round_trip(self):
         w = W("e1 [e2,e3] E4")
         assert W(format_word(w)) == w
+
+    @pytest.mark.parametrize("text, message", [
+        ("e²", "generator token missing index at position 0"),
+        ("1²", "unexpected character '²' at position 1"),
+    ])
+    def test_non_decimal_digit_is_syntax_error(self, text, message):
+        # str.isdigit accepts '²' but int() does not: it is no index digit
+        with pytest.raises(WordSyntaxError, match=re.escape(message)):
+            W(text)
+
+    @given(text=st.one_of(_SCRAMBLE, grammatical_text()))
+    @example(text="2E22e0")          # an index running into a generator
+    @example(text="e12e")
+    @example(text="(e1 e2)^2 [E2, E1] e1")
+    @example(text="e1١ E11")
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_parser(self, text):
+        assert _outcome(W, text) == _outcome(reference_parse, text)
+
+    @given(text=_SCRAMBLE, data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_superscript_digit_anywhere_is_syntax_error(self, text, data):
+        at = data.draw(st.integers(min_value=0, max_value=len(text)))
+        with pytest.raises(WordSyntaxError):
+            W(text[:at] + "²" + text[at:])
 
 
 class TestAlgebra:
@@ -114,6 +295,14 @@ class TestAlgebra:
     @given(u=words(), v=words(), w=words())
     def test_associativity(self, u, v, w):
         assert multiply(multiply(u, v), w) == multiply(u, multiply(v, w))
+
+    @given(u=words(), data=st.data())
+    @settings(max_examples=200)
+    def test_multiply_matches_full_reduction(self, u, data):
+        # v often starts by undoing the last k letters of u
+        k = data.draw(st.integers(min_value=0, max_value=len(u)))
+        v = Word(invert(Word(u.letters[len(u) - k:])).letters + data.draw(words()).letters)
+        assert multiply(u, v).letters == _reduce(u.letters + v.letters)
 
     @given(u=words())
     def test_inverse_law(self, u):
@@ -201,7 +390,26 @@ class TestCyclic:
         assert is_conjugate(u, multiply(multiply(g, u), invert(g)))
 
 
+def conjugating_primitive_root(u):
+    """Reference for ``primitive_root``: the period of the cyclic reduction
+    conjugated back by ``multiply``."""
+    core, conj = cyclic_reduce(u)
+    inner = core.letters
+    n = len(inner)
+    for p in range(1, n + 1):
+        if n % p == 0 and inner == inner[:p] * (n // p):
+            return multiply(multiply(conj, Word(inner[:p])), invert(conj)), n // p
+
+
 class TestPrimitiveRoot:
+    @given(g=words(), r=nonempty_words(max_rank=2, max_len=4),
+           k=st.integers(min_value=1, max_value=4))
+    @settings(max_examples=200)
+    def test_matches_conjugating_reference(self, g, r, k):
+        u = multiply(multiply(g, power(r, k)), invert(g))
+        for w in (u, r):
+            assert primitive_root(w) == conjugating_primitive_root(w)
+            assert primitive_root(w)[0].letters == _reduce(primitive_root(w)[0].letters)
     def test_visible_period(self):
         root, exp = primitive_root(W("e1 e2 e1 e2 e1 e2"))
         assert (root, exp) == (W("e1 e2"), 3)
