@@ -20,7 +20,7 @@ back, and a reduced path in a folded product projects to one in each factor.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, defaultdict, deque
 from typing import Iterable, Optional, Sequence
 
 from .words import Word, cyclic_reduce, letter_key
@@ -181,11 +181,6 @@ class SubgroupGraph:
     def __setattr__(self, name, value):
         raise AttributeError("SubgroupGraph is immutable")
 
-    @staticmethod
-    def _from_raw(adj: Adj, base: int) -> "SubgroupGraph":
-        """Canonical form of a connected folded graph based at ``base``."""
-        return SubgroupGraph(_renumber(_peel(adj, keep=base), base))
-
     @property
     def num_vertices(self) -> int:
         return len(self.adj)
@@ -302,7 +297,7 @@ def equals(g1: SubgroupGraph, g2: SubgroupGraph) -> bool:
 def intersect(g1: SubgroupGraph, g2: SubgroupGraph) -> SubgroupGraph:
     """Based fiber product restricted to the component of the basepoints."""
     _, adj = _product(g1.adj, g2.adj, [(0, 0)])
-    return SubgroupGraph._from_raw(adj, 0)
+    return SubgroupGraph(_renumber(_peel(adj, keep=0), 0))
 
 
 def _first_row(row: dict[int, int], start: int) -> tuple[tuple[int, int], ...]:
@@ -334,11 +329,21 @@ def cyclic_core(g: SubgroupGraph) -> SubgroupGraph:
     return _cyclic_graph(_peel(dict(enumerate(g.adj)), keep=None))
 
 
-def reads_closed_path(g: SubgroupGraph, codes: Sequence[int]) -> bool:
-    """True iff ``codes`` reads a closed path from some vertex of ``g``
-    (the empty word reads one at every vertex)."""
+def _letter_index(g: SubgroupGraph) -> dict[int, list[int]]:
+    """Each letter -> the vertices of g it leaves, in vertex order."""
+    index: dict[int, list[int]] = {}
+    for v, row in enumerate(g.adj):
+        for code in row:
+            index.setdefault(code, []).append(v)
+    return index
+
+
+def reads_closed_path(g: SubgroupGraph, codes: Sequence[int],
+                      starts: Optional[Iterable[int]] = None) -> bool:
+    """True iff ``codes`` reads a closed path from a vertex of ``g`` in ``starts``
+    (default: all; the empty word reads one at each vertex)."""
     adj = g.adj
-    for start in range(len(adj)):
+    for start in range(len(adj)) if starts is None else starts:
         v = start
         for code in codes:
             v = adj[v].get(code)
@@ -356,18 +361,27 @@ def is_conjugate_into(w: Word, g: SubgroupGraph) -> bool:
     return reads_closed_path(g, cyclic_reduce(w)[0].letters)
 
 
+def _seed_pairs(g1: SubgroupGraph, g2: SubgroupGraph) -> list[tuple[int, int]]:
+    """The vertex pairs whose rows share >= 2 letters, counted per v2 through
+    ``_letter_index(g2)``: no other pair has degree >= 2 in the product."""
+    index = _letter_index(g2)
+    return [(v1, v2) for v1, row in enumerate(g1.adj)
+            for v2, count in Counter(v for c in row for v in index.get(c, ())).items()
+            if count > 1]
+
+
 def conjugacy_intersection(g1: SubgroupGraph, g2: SubgroupGraph) -> list[SubgroupGraph]:
-    """Cycle-bearing components of the fiber product of the two cyclic cores
-    over all vertex pairs, each numbered as its own cyclic core.
+    """Cycle-bearing components of the fiber product of the two cyclic cores,
+    each numbered as its own cyclic core, sorted by encoding.
 
     A nontrivial word is conjugate into both g1 and g2 iff it is conjugate
     into the subgroup of some returned component: a cyclically reduced word
     reads a closed path in the peeled product iff it reads one in each core.
     The product of g1 and g2 themselves peels to the same graph: a reduced
     path in it projects to one in each, which cannot enter a hair of either.
+    Only ``_seed_pairs``, which hold every vertex the peel keeps, seed the walk.
     """
-    pairs = [(v1, v2) for v1 in range(g1.num_vertices) for v2 in range(g2.num_vertices)]
-    adj = _peel(_product(g1.adj, g2.adj, pairs)[1], keep=None)
+    adj = _peel(_product(g1.adj, g2.adj, _seed_pairs(g1, g2))[1], keep=None)
     components = []
     remaining = set(adj)
     while remaining:
@@ -399,23 +413,47 @@ def immerses_into(src: SubgroupGraph, dst: SubgroupGraph) -> bool:
 # Bounded-length enumeration oracle
 # ---------------------------------------------------------------------------
 
-def _extend(arcs: list[list[tuple[int, int, int]]], dist: list[int], max_len: int,
+def _closing_rows(arcs: list[tuple[int, int, int, int]], before: list[list[int]],
+                  first: int, max_len: int) -> dict[int, list[tuple[int, int, int, int]]]:
+    """Walk rows for closed paths that begin with arc ``first`` (from s, rank r0):
+    row v lists (rank, code, target, close) for each arc of v ranked >= r0 whose
+    least non-backtracking path over such arcs to s, not ending on the reverse
+    of ``first``, has close <= max_len letters (reverse BFS stopped at max_len)."""
+    least = arcs[first][0]
+    rows: dict[int, list[tuple[int, int, int, int]]] = defaultdict(list)
+    level = [a for a in before[first] if arcs[a][0] >= least]
+    seen, close = set(level), 1
+    while level:
+        for a in level:
+            rank_, code, v, t = arcs[a]
+            rows[v].append((rank_, code, t, close))
+        if close == max_len:
+            break
+        close, reached = close + 1, []
+        for b in level:
+            for a in before[b]:
+                if a not in seen and arcs[a][0] >= least:
+                    seen.add(a)
+                    reached.append(a)
+        level = reached
+    return rows
+
+
+def _extend(rows: dict[int, list[tuple[int, int, int, int]]], max_len: int,
             found: set[tuple[int, ...]], start: int, v: int, path: list[int],
             ranks: list[int], period: int) -> None:
     """Record every closed cyclically reduced path of length <= max_len that
-    extends ``path`` (start -> v, letter ranks ``ranks``) and is its own
-    least rotation.
-
-    The path is kept a prenecklace (Fredricksen-Kessler-Maiorana): a letter
-    ranked below the one ``period`` places back is skipped, and one ranked
-    above it makes the whole path the new period.  A prenecklace is its
-    least rotation iff its period divides its length, so each class comes
-    out once per start that reads it, as its least rotation."""
-    depth = len(path) + 1
-    back = -path[-1] if path else 0
-    least = ranks[-period] if path else 0
-    for rank_, code, t in arcs[v]:
-        if rank_ < least or code == back or depth + dist[t] > max_len:
+    extends the nonempty ``path`` (start -> v, letter ranks ``ranks``), maybe
+    through ``start`` again, and is its own least rotation.  The path is kept a
+    prenecklace (Fredricksen-Kessler-Maiorana): a letter ranked below the one
+    ``period`` places back is skipped, one ranked above it makes the whole path
+    the new period, and a prenecklace is its least rotation iff its period
+    divides its length.  An arc goes once the path before it plus its closing
+    length (``_closing_rows``) passes max_len."""
+    depth, back, least = len(path) + 1, -path[-1], ranks[-period]
+    room = max_len - len(path)   # letters left for an arc and its way back
+    for rank_, code, t, close in rows[v]:
+        if rank_ < least or code == back or close > room:
             continue
         next_period = depth if rank_ > least else period
         path.append(code)
@@ -423,7 +461,7 @@ def _extend(arcs: list[list[tuple[int, int, int]]], dist: list[int], max_len: in
         if t == start and depth % next_period == 0 and path[0] != -code:
             found.add(tuple(path))
         if depth < max_len:
-            _extend(arcs, dist, max_len, found, start, t, path, ranks, next_period)
+            _extend(rows, max_len, found, start, t, path, ranks, next_period)
         path.pop()
         ranks.pop()
 
@@ -431,15 +469,19 @@ def _extend(arcs: list[list[tuple[int, int, int]]], dist: list[int], max_len: in
 def enumerate_cyclic_classes(core: SubgroupGraph, max_len: int) -> set[tuple[int, ...]]:
     """All nontrivial conjugacy classes of cyclically reduced length <= max_len
     readable as closed paths in ``core``, each as its least rotation under
-    ``letter_key`` (``words.least_rotation``); a path is dropped once the BFS
-    depth of its end from its start says it cannot close."""
-    arcs = [[(letter_key(code), code, t) for code, t in row.items()]
-            for row in core.adj]
+    ``letter_key`` (``words.least_rotation``).  That starts with its least
+    letter, so the walk from s along a first arc of rank r0 keeps to arcs
+    ranked >= r0, pruned by their closing lengths to s (``_closing_rows``)."""
+    adj = core.adj
+    ids = {arc: a for a, arc in enumerate((v, code) for v, row in enumerate(adj) for code in row)}
+    arcs = [(letter_key(code), code, v, adj[v][code]) for v, code in ids]   # (rank, code, v, t)
+    # before[a]: the arcs a reduced path can take just before arc a
+    before = [[ids[t, -c] for c, t in adj[v].items() if c != code] for _, code, v, _ in arcs]
     found: set[tuple[int, ...]] = set()
-    for start in range(len(arcs)):
-        dist = [0] * len(arcs)
-        for v, arc in _bfs(core.adj, start).items():
-            if arc is not None:
-                dist[v] = dist[arc[0]] + 1
-        _extend(arcs, dist, max_len, found, start, start, [], [], 0)
+    for arc, (r0, code, start, t) in enumerate(arcs):   # the first arc of a walk
+        if t == start:
+            found.add((code,))
+        if max_len > 1:   # else the first arc is the whole path
+            rows = _closing_rows(arcs, before, arc, max_len)
+            _extend(rows, max_len, found, start, t, [code], [r0], 1)
     return found

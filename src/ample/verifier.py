@@ -32,20 +32,9 @@ from .config import Config
 from .jsj import (acl_from_catalog, cap_witness_entries, singleton_jsj,
                   witness_jsj_left, witness_jsj_right)
 from .sequence import commutator_chain, witness
-from .stallings import (
-    SubgroupGraph,
-    basis,
-    build_core,
-    conjugacy_intersection,
-    contains,
-    cyclic_core,
-    enumerate_cyclic_classes,
-    equals,
-    immerses_into,
-    intersect,
-    is_conjugate_into,
-    reads_closed_path,
-)
+from .stallings import (SubgroupGraph, _letter_index, basis, build_core, conjugacy_intersection,
+                        contains, cyclic_core, enumerate_cyclic_classes, equals, immerses_into,
+                        intersect, is_conjugate_into, reads_closed_path)
 from .whitehead import MinimizationTrace, is_basis, minimize
 from .words import Word, format_word, relabel
 
@@ -287,7 +276,8 @@ def _conjugacy_part(h1: SubgroupGraph, h2: SubgroupGraph, h0: SubgroupGraph,
                      "witness": format_word(basis(comp)[0])}
                     for idx, comp in enumerate(components))
     common = set().union(*(enumerate_cyclic_classes(comp, bound) for comp in components))
-    oracle_ok = all(reads_closed_path(h0_core, codes) for codes in common)
+    leaves = _letter_index(h0_core)
+    oracle_ok = all(reads_closed_path(h0_core, c, leaves.get(c[0], ())) for c in common)
     return all(r["ok"] for r in reports) and oracle_ok, reports, len(common), oracle_ok
 
 

@@ -4,13 +4,16 @@ from collections import deque
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ample.jsj import acl_from_catalog, witness_jsj_left, witness_jsj_right
 from ample.sequence import witness
 from ample.stallings import (
     SubgroupGraph,
     _bfs,
+    _cyclic_graph,
     _encoding,
     _peel,
     _product,
+    _seed_pairs,
     build_core,
     basis,
     conjugacy_intersection,
@@ -147,6 +150,21 @@ def core_conjugacy_intersection(g1, g2):
         remaining -= comp.keys()
         components.append(SubgroupGraph(all_starts_cyclic_core({v: adj[v] for v in comp})))
     return sorted(components, key=lambda graph: _encoding(graph.adj))
+
+
+def all_pairs_conjugacy_intersection(g1, g2):
+    """Reference for the seeded ``conjugacy_intersection``: the same peel,
+    components and order, but the product walked from every vertex pair."""
+    pairs = [(v1, v2) for v1 in range(g1.num_vertices) for v2 in range(g2.num_vertices)]
+    adj = _peel(_product(g1.adj, g2.adj, pairs)[1], keep=None)
+    components = []
+    remaining = set(adj)
+    while remaining:
+        comp = _bfs(adj, min(remaining))
+        remaining -= comp.keys()
+        components.append(_cyclic_graph({v: adj[v] for v in comp}))
+    components.sort(key=lambda graph: _encoding(graph.adj))
+    return components
 
 
 class UnionFind:
@@ -330,6 +348,31 @@ def hairy_cases(draw):
     else:
         w = draw(words(rank_, 6))
     return gens1, gens2, w
+
+
+@st.composite
+def circle_pairs(draw):
+    """(generators 1, generators 2) over rank 1-3: one conjugated power of a
+    cyclically reduced word each, the second often of the first's word, so
+    the product's components are circles, every vertex of degree exactly 2."""
+    rank_ = draw(st.integers(min_value=1, max_value=3))
+    cyclic = nonempty_words(rank_, 4).map(lambda w: cyclic_reduce(w)[0].to_word())
+
+    def circle(u):
+        x = draw(words(rank_, 2))
+        return [multiply(multiply(x, u ** draw(st.integers(1, 3))), invert(x))]
+
+    u = draw(cyclic)
+    return circle(u), circle(u if draw(st.booleans()) else draw(cyclic))
+
+
+@st.composite
+def oracle_cases(draw):
+    """(generators, length bound) over rank 1-4: 1-3 generators of length <= 6
+    and a bound of 1-7."""
+    rank_ = draw(st.integers(min_value=1, max_value=4))
+    gens = draw(st.lists(words(rank_, 6), min_size=1, max_size=3))
+    return gens, draw(st.integers(min_value=1, max_value=7))
 
 
 def random_subgroup(rng, rank_=2, max_gens=3, max_len=5):
@@ -694,12 +737,18 @@ class TestConjugacy:
         expected = {(1,), (-1,), (1, 1), (-1, -1), (1, 1, 1), (-1, -1, -1)}
         assert classes == expected
 
-    @given(data=st.data())
+    @given(case=oracle_cases())
+    # each of these kills a mutant of the closing-length prune: a table over
+    # arcs ranked strictly above the first letter's (e1 e1 and e1 e2 e1 e2
+    # reuse it), a walk that stops at its first return to the start (on a
+    # rose every arc returns), and the prune depth + close > max_len, which
+    # loses every class of length exactly max_len
+    @example(case=([W("e1")], 2))                   # the circle on e1
+    @example(case=([W("e1"), W("e2")], 4))          # the rose on e1, e2
+    @example(case=([W("e1 e2 E1 E2"), W("e1 e1")], 6))
     @settings(max_examples=80, deadline=None)
-    def test_enumerate_cyclic_classes_matches_brute_force(self, data):
-        rank_ = data.draw(st.integers(min_value=1, max_value=4))
-        gens = data.draw(st.lists(words(rank_, 6), min_size=1, max_size=3))
-        max_len = data.draw(st.integers(min_value=1, max_value=7))
+    def test_enumerate_cyclic_classes_matches_brute_force(self, case):
+        gens, max_len = case
         core = cyclic_core(build_core(gens))
         assert (enumerate_cyclic_classes(core, max_len)
                 == brute_force_cyclic_classes(core, max_len))
@@ -738,6 +787,28 @@ class TestConjugacy:
         # h0 its cross-check holds iff there is no common class
         _, _, count, oracle_ok = _conjugacy_part(g1, g2, build_core([]), max_len)
         assert count == len(common) and oracle_ok == (not common)
+
+    @given(case=st.one_of(sharing_pairs().map(lambda case: case[:2]),
+                          hairy_cases().map(lambda case: case[:2]), circle_pairs()))
+    @example(case=([W("e1")], [W("e1")]))                     # one circle, degree 2
+    @example(case=([W("e1 e2 E1")], [W("e2 e2"), W("e1")]))   # a circle off a hair
+    @settings(max_examples=300, deadline=None)
+    def test_seeded_product_matches_all_pairs(self, case):
+        g1, g2 = build_core(case[0]), build_core(case[1])
+        assert conjugacy_intersection(g1, g2) == all_pairs_conjugacy_intersection(g1, g2)
+
+    def test_seed_pairs_grow_linearly_on_the_ladder(self):
+        # clause 4's product at rung i: the seeds number 3i + 1, where all
+        # pairs number |h1| |h2|, which grows 4.0 times per doubling
+        seeds = {}
+        for i in (15, 31):
+            h1 = acl_from_catalog(witness_jsj_left(i))
+            h2 = acl_from_catalog(witness_jsj_right(i))
+            seeds[i] = len(_seed_pairs(h1, h2))
+            assert conjugacy_intersection(h1, h2) == [cyclic_core(build_core(
+                [witness(j) for j in range(i)]))]
+        assert seeds == {15: 46, 31: 94}
+        assert seeds[31] / seeds[15] <= 2.2
 
     def test_product_walk_with_empty_core(self):
         # a trivial factor leaves the product with no cycle: no component,
