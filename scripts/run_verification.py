@@ -13,14 +13,14 @@ import time
 from pathlib import Path
 
 from ample.config import Config
-from ample.verifier import ResourceLimitError, verify_ample
+from ample.jsj import cap_witness_entries
+from ample.verifier import verify_ample
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=3)
     parser.add_argument("--oracle-bound", type=int, default=Config.oracle_bound)
-    parser.add_argument("--max-rank", type=int, default=Config.max_rank)
     parser.add_argument("--out-dir", type=Path, default=None,
                         help="write report-n<k>.json files here")
     args = parser.parse_args()
@@ -28,7 +28,9 @@ def main() -> int:
     try:
         if args.max_n < 1:
             raise ValueError("--max-n must be >= 1")
-        config = Config(max_rank=args.max_rank, oracle_bound=args.oracle_bound)
+        if args.max_n > 1:
+            cap_witness_entries(args.max_n - 1)
+        config = Config(oracle_bound=args.oracle_bound)
         if args.out_dir:
             args.out_dir.mkdir(parents=True, exist_ok=True)
     except (ValueError, OSError) as exc:
@@ -38,11 +40,7 @@ def main() -> int:
     all_pass = True
     for n in range(1, args.max_n + 1):
         start = time.perf_counter()
-        try:
-            report = verify_ample(n, config)
-        except ResourceLimitError as exc:
-            print(f"n={n}: resource limit ({exc})", file=sys.stderr)
-            return 3
+        report = verify_ample(n, config)
         elapsed = time.perf_counter() - start
         verdict = "pass" if report.overall else "fail"
         print(f"n={n}: {verdict} in {elapsed:.2f}s")

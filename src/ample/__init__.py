@@ -33,7 +33,6 @@ from .stallings import (
     rank,
 )
 from .verifier import (
-    ResourceLimitError,
     VerificationReport,
     check_clause1,
     check_clause2,

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success / predicate true / verification pass; 1 predicate
-false / verification fail; 2 usage error; 3 resource limit exceeded.
+false / verification fail; 2 usage error.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 from . import imaginaries, jsj, stallings, whitehead
 from .config import MAX_ORACLE_BOUND, Config
-from .verifier import ResourceLimitError, verify_ample
+from .verifier import verify_ample
 from .words import (
     Word,
     WordSyntaxError,
@@ -121,10 +121,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle-bound", type=int, default=Config.oracle_bound,
                    help="conjugacy cross-check length bound (default "
                         f"{Config.oracle_bound}, at most {MAX_ORACLE_BOUND})")
-    p.add_argument("--max-rank", type=int, default=Config.max_rank,
-                   help="largest allowed Whitehead scan rank; clause 1 at n "
-                        f"needs rank 2n (default {Config.max_rank}, "
-                        f"so n <= {Config.max_rank // 2})")
     p.add_argument("--json", action="store_true", help="emit the JSON report")
     return parser
 
@@ -205,12 +201,7 @@ def _run_jsj(args) -> int:
 
 
 def _run_verify(args) -> int:
-    config = Config(max_rank=args.max_rank, oracle_bound=args.oracle_bound)
-    try:
-        report = verify_ample(args.n, config)
-    except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
-        return 3
+    report = verify_ample(args.n, Config(oracle_bound=args.oracle_bound))
     if args.json:
         print(report.to_json())
     else:

@@ -11,13 +11,11 @@ MAX_ORACLE_BOUND = 500
 
 @dataclass(frozen=True)
 class Config:
-    """Set only by arguments: ``--max-rank`` and ``--oracle-bound`` on the CLI."""
+    """Set only by arguments: ``--oracle-bound`` on the CLI.  The verifier
+    has no size knob; the catalog letter cap alone bounds n."""
 
-    max_rank: int = 24       # largest Whitehead scan rank; clause 1 at n needs 2n
     oracle_bound: int = 8    # conjugacy cross-check length bound L, 1..MAX_ORACLE_BOUND
 
     def __post_init__(self):
-        if self.max_rank < 1 or self.oracle_bound < 1:
-            raise ValueError("bounds must be >= 1")
-        if self.oracle_bound > MAX_ORACLE_BOUND:
-            raise ValueError(f"oracle bound must be <= {MAX_ORACLE_BOUND}")
+        if not 1 <= self.oracle_bound <= MAX_ORACLE_BOUND:
+            raise ValueError(f"oracle bound must lie in 1..{MAX_ORACLE_BOUND}")

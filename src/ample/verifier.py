@@ -20,6 +20,10 @@ the two cyclic cores share, listed component by component, each once as
 its least rotation, must each read a closed path in the cyclic core of h0.
 Reports state what was checked, they do not claim unconditional proof of
 the conjugacy-closure equality.
+
+Every clause runs in time polynomial in n (clause 1 solves one max-flow per
+letter of F_2n), so the one size limit is the catalog letter cap that
+clause 4's entries meet (``jsj.cap_witness_entries``: n <= 223).
 """
 
 from __future__ import annotations
@@ -41,10 +45,6 @@ from .words import Word, format_word, relabel
 CLAUSE1_METHOD = "whitehead-non-primitivity"
 CLAUSE2_METHOD = "certificate-checked (free-factorization criterion)"
 ACL_METHOD = "stallings-intersection + conjugacy-fiber-product + bounded-oracle"
-
-
-class ResourceLimitError(RuntimeError):
-    """The requested check exceeds the configured Whitehead rank budget."""
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,6 @@ class VerificationReport:
     clause3: AclResult
     clause4: tuple[AclResult, ...]
     overall: bool
-    config: Config
 
     def clause_dicts(self) -> list[dict]:
         clauses = [self.clause1.to_clause()]
@@ -163,10 +162,6 @@ class VerificationReport:
             "n": self.n,
             "clauses": self.clause_dicts(),
             "overall": "pass" if self.overall else "fail",
-            "config": {
-                "max_rank": self.config.max_rank,
-                "oracle_bound": self.config.oracle_bound,
-            },
         }
 
     def to_json(self) -> str:
@@ -185,7 +180,7 @@ class VerificationReport:
 
 REPORT_SCHEMA = {
     "type": "object",
-    "required": ["n", "clauses", "overall", "config"],
+    "required": ["n", "clauses", "overall"],
     "properties": {
         "n": {"type": "integer", "minimum": 1},
         "clauses": {
@@ -204,10 +199,6 @@ REPORT_SCHEMA = {
             },
         },
         "overall": {"enum": ["pass", "fail"]},
-        "config": {
-            "type": "object",
-            "required": ["max_rank", "oracle_bound"],
-        },
     },
 }
 
@@ -216,27 +207,17 @@ REPORT_SCHEMA = {
 # Clause checks
 # ---------------------------------------------------------------------------
 
-def _scan_rank(n: int, config: Config) -> int:
-    """The Whitehead scan rank clause 1 needs at n, refused past the cap."""
-    if 2 * n > config.max_rank:
-        raise ResourceLimitError(
-            f"clause 1 at n={n} needs a rank-{2 * n} Whitehead scan; "
-            f"configured maximum is {config.max_rank}")
-    return 2 * n
-
-
-def check_clause1(n: int, config: Config = Config()) -> ForksResult:
+def check_clause1(n: int) -> ForksResult:
     """a0 forks with a_n: the commutator chain a0^-1 a_n, relabelled onto
     e1..e(2n), must not be primitive; the minimization trace is the evidence."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    scan_rank = _scan_rank(n, config)
     start = time.perf_counter()
     chain = commutator_chain(n)
     relabelled = relabel(chain, -1)
-    trace = minimize([relabelled], scan_rank)
+    trace = minimize([relabelled], 2 * n)
     millis = (time.perf_counter() - start) * 1000
-    return ForksResult(passed=trace.minimal_total > 1, rank=scan_rank,
+    return ForksResult(passed=trace.minimal_total > 1, rank=2 * n,
                        word=chain, trace=trace, millis=millis)
 
 
@@ -328,17 +309,15 @@ def check_clause4(i: int, config: Config = Config()) -> AclResult:
 def verify_ample(n: int, config: Config = Config()) -> VerificationReport:
     """Run all four clause checks for the given n and aggregate the report.
 
-    For n = 1 clauses 2 and 4 are vacuous and reported as such.  Both limits
-    are checked before any clause runs: first the clause-1 scan rank
-    (``ResourceLimitError``), then the catalog cap that clause 4 meets at
-    i = n - 1 (``ValueError``).
+    For n = 1 clauses 2 and 4 are vacuous and reported as such.  The one
+    size limit, the catalog letter cap that clause 4 meets at i = n - 1
+    (n <= 223), is checked before any clause runs and raises ``ValueError``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    _scan_rank(n, config)
     if n > 1:
         cap_witness_entries(n - 1)
-    clause1 = check_clause1(n, config)
+    clause1 = check_clause1(n)
     clause2 = tuple(check_clause2(i) for i in range(1, n))
     clause3 = check_clause3(config)
     clause4 = tuple(check_clause4(i, config) for i in range(1, n))
@@ -347,4 +326,4 @@ def verify_ample(n: int, config: Config = Config()) -> VerificationReport:
                and all(r.passed for r in clause4))
     return VerificationReport(n=n, clause1=clause1, clause2=clause2,
                               clause3=clause3, clause4=clause4,
-                              overall=overall, config=config)
+                              overall=overall)

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import hashlib
 import json
@@ -392,14 +393,13 @@ class TestVerifyCommand:
         assert code == 0 and "vacuous" in out
 
     def test_help_reads_config_defaults(self, capsys, monkeypatch):
-        monkeypatch.setattr(Config, "max_rank", 77)
         monkeypatch.setattr(Config, "oracle_bound", 9)
         parser = cli._build_parser.__wrapped__()   # the cached one predates the patch
         with pytest.raises(SystemExit) as exc:
             parser.parse_args(["verify-ample", "--help"])
         assert exc.value.code == 0
         out = " ".join(capsys.readouterr().out.split())
-        assert "(default 77," in out and "(default 9," in out
+        assert "(default 9," in out
 
     def test_json_schema(self, capsys):
         code, out, _ = run(capsys, "verify-ample", "--n", "1", "--json")
@@ -414,9 +414,10 @@ class TestVerifyCommand:
         b = scrub_millis(json.loads(out2))
         assert json.dumps(a) == json.dumps(b)
 
-    def test_resource_limit_exit_3(self, capsys):
-        code, _, err = run(capsys, "verify-ample", "--n", "13")
-        assert code == 3 and "resource limit" in err
+    def test_past_former_rank_cap_passes(self, capsys):
+        # n = 13 needed --max-rank 26 while the rank budget existed
+        code, out, err = run(capsys, "verify-ample", "--n", "13")
+        assert code == 0 and out.endswith("overall: pass\n") and err == ""
 
     def test_catalog_cap_exits_2_before_any_clause(self, capsys, monkeypatch):
         # clause 4 at i = 223 needs rigid generators past the letter cap
@@ -424,22 +425,22 @@ class TestVerifyCommand:
             raise AssertionError("a clause ran")
 
         monkeypatch.setattr(verifier, "check_clause1", no_clause)
-        code, out, err = run(capsys, "verify-ample", "--n", "224", "--max-rank", "448")
+        code, out, err = run(capsys, "verify-ample", "--n", "224")
         assert_usage_error(code, out, err)
         assert "100000" in err
-        # the rank limit comes first
-        code, _, err = run(capsys, "verify-ample", "--n", "224")
-        assert code == 3 and "resource limit" in err
 
     def test_oracle_bound_flag_recorded(self, capsys):
-        code, out, _ = run(capsys, "verify-ample", "--n", "1", "--json",
+        code, out, _ = run(capsys, "verify-ample", "--n", "2", "--json",
                            "--oracle-bound", "6")
-        payload = json.loads(out)
-        assert payload["config"]["oracle_bound"] == 6
+        bounds = {c["id"]: c["bound"] for c in json.loads(out)["clauses"]}
+        assert code == 0 and bounds == {"clause1": None, "clause2.i1": None,
+                                        "clause3": 6, "clause4.i1": 6}
 
-    def test_max_rank_flag_limits(self, capsys):
-        code, _, err = run(capsys, "verify-ample", "--n", "2", "--max-rank", "2")
-        assert code == 3 and "resource limit" in err
+    def test_max_rank_flag_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-ample", "--n", "2", "--max-rank", "24"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-rank 24" in capsys.readouterr().err
 
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -453,12 +454,12 @@ class TestVerifyCommand:
     # sha256 of the `verify-ample --n N --json` output with every millis
     # value blanked; a change to the report must update these digests
     REPORT_DIGESTS = {
-        1: "d12bbbea9b628cdbc34381838b7726918e598c66aff0e4327bc29616109fe8a1",
-        2: "ce1f3a74ab222df8e6b940d1962de15c6c19e487299d12d26a005113c002d80b",
-        3: "f7bc04a1c16f144c5eb2dae73f579c232e490a4d40b24b6a01f005136f4ee9ed",
-        4: "6f4589eb9974f22fd71727a2765fbe9df105f554b9f61d9e75b0a1276376c3e0",
-        8: "402ead509e26e9e12b7ced430065926ab04df4a75b96819722881276c1cffda5",
-        12: "ca83a8482da27600c2c7bdc5342304316b3b60c2a82162c936d363b9580809a9",
+        1: "fbee6d3b220c46a7300515b143fff82724e7b994cfd25b22b9d3954574d916c6",
+        2: "3cbb30ff701c43579ae62f7b327e93e55b5b09ce0f6967b865fd4982d27a03ee",
+        3: "d79a4829cd163ea6fc7b82774fb1a84a994fac3e66bbcbb8566f76c71f6db35c",
+        4: "87ba31b72d0009aa2fa9d647bb653926733c9bce6864d72cb2ac7f2ec888c252",
+        8: "2165710a33fbbe7122275b7c36210d44bfe4d18847702cf2199a0875e719fd86",
+        12: "5062f62ca601fe481f248138b816219f0956e8d353cc49c9a46a4c4dc9ebde90",
     }
 
     @pytest.mark.parametrize("n", sorted(REPORT_DIGESTS))
@@ -480,9 +481,9 @@ class TestVerifyCommand:
     # the same digest for `verify-ample --n 6 --oracle-bound L --json`: the
     # oracle's class counts are pinned at bounds other than the default
     BOUND_DIGESTS = {
-        4: "99b5a7678926caf2fed5d61f484065801d12633fc9501f0791c314dc39faab0d",
-        10: "bcb395f521d0410b51c65013f6bee8cc301328739ee8430223bdd90f0bf03a3e",
-        12: "fba63c5bf23da2a90744eeafa8c280089a94ea86bea5a63e7eb8142b40f12faf",
+        4: "c8487b1a0f5a77f7d074c1244a712c7d26550de7a82941462434552f3579f0e0",
+        10: "098bfd07b1ea30d5d856bc162b92c8af82f3551e2222f92dd50634a6eee3d221",
+        12: "5b44701b19cc96fad25588532831f495d614f0f3c952fe93cbd5ab654286fd20",
     }
 
     @pytest.mark.parametrize("bound", sorted(BOUND_DIGESTS))
@@ -513,6 +514,16 @@ class TestRunVerificationScript:
         assert_usage_error(code, out, err, prefix="run_verification: ")
         assert err == "run_verification: --max-n must be >= 1\n"
 
+    def test_max_n_past_catalog_cap_exits_2(self, capsys, monkeypatch):
+        # the script imports verify_ample when it runs, so it gets the patched one
+        def no_run(*args):
+            raise AssertionError("a verification ran")
+
+        monkeypatch.setattr(verifier, "verify_ample", no_run)
+        code, out, err = self.run_script(capsys, monkeypatch, "--max-n", "224")
+        assert_usage_error(code, out, err, prefix="run_verification: ")
+        assert "100000" in err
+
     @pytest.mark.parametrize("bound", ["0", "990"])
     def test_bad_oracle_bound_usage_error(self, capsys, monkeypatch, bound):
         assert_usage_error(*self.run_script(capsys, monkeypatch, "--oracle-bound", bound),
@@ -530,3 +541,98 @@ class TestRunVerificationScript:
                                        "--out-dir", str(tmp_path))
         assert code == 2 and err.startswith("run_verification: ")
         assert "Traceback" not in err
+
+
+# argv tokens for the exit-code fuzz: valid words (drawn twice as often),
+# and malformed ones (fused or zero indices, bare letters, unbalanced
+# brackets, expansions past the letter cap) that must be usage errors
+VALID_WORDS = st.sampled_from([
+    "", "e1", "E2", "e1 e2 E1 E2", "[e1,e2]", "e1 [e2,e3]", "(e1 E2)^3", "(e2)^-2",
+    "e99999999999"])
+MALFORMED_WORDS = st.sampled_from([
+    "e1e2", "e0", "e", "E", "x1", "[e1,e2", "e1,e2]", "[e1 e2]", "(e1", "e1)^2",
+    "(e1)^", "e1^2", "(e1 e2)^99999999", "(e1)^-100001"])
+FUZZ_WORDS = st.one_of(VALID_WORDS, VALID_WORDS, MALFORMED_WORDS)
+FUZZ_INTS = st.integers(-3, 6).map(str)
+
+
+@st.composite
+def cli_argv(draw) -> list[str]:
+    """argv for any subcommand, sometimes cut short; verify-ample only at
+    n <= 3 and --oracle-bound <= 4, so each call stays cheap."""
+    def words(lo: int, hi: int) -> list[str]:
+        return draw(st.lists(FUZZ_WORDS, min_size=lo, max_size=hi))
+
+    def gens() -> str:
+        return ";".join(words(0, 3))
+
+    command = draw(st.sampled_from(["word", "subgroup", "primitive", "minimize",
+                                    "basic-sort", "jsj", "verify-ample"]))
+    if command == "word":
+        op = draw(st.sampled_from(["reduce", "mul", "inv", "conj"]))
+        argv = ["word", op, *words(*{"mul": (1, 3), "conj": (2, 2)}.get(op, (1, 1)))]
+    elif command == "subgroup":
+        op = draw(st.sampled_from(["build", "member", "basis", "rank", "intersect"]))
+        argv = ["subgroup", op, gens(), *{"member": words(1, 1),
+                                          "intersect": [gens()]}.get(op, [])]
+    elif command in ("primitive", "minimize"):
+        argv = [command, *words(1, 1 if command == "primitive" else 3),
+                "--rank", draw(FUZZ_INTS)]
+    elif command == "basic-sort":
+        relation = draw(st.sampled_from(list(cli.ARITY)))
+        count = draw(st.one_of(st.just(2 * cli.ARITY[relation]), st.integers(1, 6)))
+        argv = ["basic-sort", "--relation", relation, "--m", draw(FUZZ_INTS),
+                "--n", draw(FUZZ_INTS), *words(count, count)]
+    elif command == "jsj":
+        argv = ["jsj", "show", draw(st.sampled_from(["example", "left", "right"])),
+                "--index", draw(st.one_of(FUZZ_INTS, st.just("1000000"))),
+                "--format", draw(st.sampled_from(["text", "dot"])),
+                *draw(st.sampled_from([[], ["--validate"]]))]
+    else:
+        argv = ["verify-ample", "--n", str(draw(st.integers(-2, 3))),
+                "--oracle-bound", str(draw(st.integers(-1, 4))),
+                *draw(st.sampled_from([[], ["--json"]]))]
+    return argv[:draw(st.one_of(st.just(len(argv)), st.integers(1, len(argv))))]
+
+
+def is_predicate(argv: list[str]) -> bool:
+    """The commands whose exit 1 means "false" or "verification failed"."""
+    return (argv[:2] in (["word", "conj"], ["subgroup", "member"])
+            or argv[0] in ("primitive", "basic-sort", "verify-ample")
+            or (argv[0] == "jsj" and "--validate" in argv))
+
+
+@given(argv=cli_argv())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_exit_codes_fuzz(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:   # argparse refusing the argv
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2) and "Traceback" not in err
+    assert code != 1 or is_predicate(argv)
+
+
+def test_readme_usage_names_only_real_flags():
+    """Every ``--flag`` on an ``ample ...`` line of README's usage block is
+    an option of the (sub)command that line names."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+    lines = [line.split("#")[0].split() for line in block.splitlines()
+             if line.startswith("ample ")]
+    assert len(lines) >= 10
+
+    def choices(parser: argparse.ArgumentParser) -> dict:
+        return next(a.choices for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+
+    for tokens in lines:
+        parsers = [choices(cli._build_parser())[tokens[1]]]
+        if tokens[1] in ("word", "subgroup", "jsj"):
+            parsers = [choices(parsers[0])[op] for op in tokens[2].split("|")]
+        flags = set(re.findall(r"--[\w-]+", " ".join(tokens)))
+        for parser in parsers:
+            known = {s for action in parser._actions for s in action.option_strings}
+            assert flags <= known, (tokens, sorted(flags - known))
